@@ -19,7 +19,7 @@ use std::process::ExitCode;
 fn usage() {
     eprintln!(
         "usage: experiments [--trace FILE] [--metrics] [--coverage-out FILE] [--profile] \
-         [--eval-mode full|cone] [--seq-backend packed|scalar|graph] <id>... | all | list"
+         [--eval-mode full|cone] [--seq-backend packed|graph] <id>... | all | list"
     );
     eprintln!("ids:");
     for (id, _) in scal_bench::EXPERIMENTS {
@@ -68,13 +68,13 @@ fn main() -> ExitCode {
             }
             "--seq-backend" => {
                 let Some(raw) = iter.next() else {
-                    eprintln!("--seq-backend needs an argument (packed|scalar|graph)");
+                    eprintln!("--seq-backend needs an argument (packed|graph)");
                     return ExitCode::FAILURE;
                 };
                 match raw.parse() {
                     Ok(backend) => ctx.set_seq_backend(backend),
                     Err(_) => {
-                        eprintln!("bad --seq-backend value {raw:?} (want packed|scalar|graph)");
+                        eprintln!("bad --seq-backend value {raw:?} (want packed|graph)");
                         return ExitCode::FAILURE;
                     }
                 }

@@ -21,7 +21,7 @@ use std::process::ExitCode;
 fn usage() {
     eprintln!(
         "usage: scal_report [--out FILE] [--baseline FILE] [--max-perf-drop PCT] \
-         [--threads N] [--eval-mode full|cone] [--seq-backend packed|scalar|graph] \
+         [--threads N] [--eval-mode full|cone] [--seq-backend packed|graph] \
          [--word-width 0|1|4|8] [--fault-collapse on|off|auto] [--suite standard|large] \
          [--large-gates N] [--quiet]"
     );
@@ -50,6 +50,7 @@ struct Options {
     eval_mode: EvalMode,
     seq_backend: SeqBackend,
     word_width: usize,
+    fault_collapse: bool,
     large: bool,
     large_gates: usize,
     quiet: bool,
@@ -64,6 +65,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         eval_mode: EvalMode::default(),
         seq_backend: SeqBackend::default(),
         word_width: 0,
+        fault_collapse: true,
         large: false,
         large_gates: 100_000,
         quiet: false,
@@ -98,9 +100,9 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             }
             "--seq-backend" => {
                 let raw = value("--seq-backend")?;
-                opts.seq_backend = raw.parse().map_err(|_| {
-                    format!("bad --seq-backend value {raw:?} (want packed|scalar|graph)")
-                })?;
+                opts.seq_backend = raw
+                    .parse()
+                    .map_err(|_| format!("bad --seq-backend value {raw:?} (want packed|graph)"))?;
             }
             "--word-width" => {
                 let raw = value("--word-width")?;
@@ -113,19 +115,16 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     ))?;
             }
             "--fault-collapse" => {
-                // Routed through the engine's environment override so every
-                // suite campaign (pair, sequential, large tier) honors it
-                // without a per-builder knob.
                 let raw = value("--fault-collapse")?;
-                match raw.as_str() {
-                    "on" | "off" => std::env::set_var(scal_engine::SCAL_FAULT_COLLAPSE_ENV, &raw),
-                    "auto" => std::env::remove_var(scal_engine::SCAL_FAULT_COLLAPSE_ENV),
+                opts.fault_collapse = match raw.as_str() {
+                    "on" | "auto" => true,
+                    "off" => false,
                     _ => {
                         return Err(format!(
                             "bad --fault-collapse value {raw:?} (want on|off|auto)"
                         ))
                     }
-                }
+                };
             }
             "--suite" => {
                 let raw = value("--suite")?;
@@ -157,6 +156,7 @@ fn report(opts: &Options) -> Result<ExitCode, String> {
             opts.eval_mode,
             opts.large_gates,
             opts.word_width,
+            opts.fault_collapse,
         )
     } else {
         run_suite(
@@ -164,6 +164,7 @@ fn report(opts: &Options) -> Result<ExitCode, String> {
             opts.eval_mode,
             opts.seq_backend,
             opts.word_width,
+            opts.fault_collapse,
         )
     };
     if !opts.quiet {

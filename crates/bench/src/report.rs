@@ -191,18 +191,6 @@ pub struct ServeLatency {
     pub run_p99: u64,
 }
 
-/// Scalar-vs-packed throughput measurement on the kohavi_codeconv
-/// sequential campaign — the headline number of the fault-per-lane backend.
-#[derive(Debug, Clone)]
-pub struct SeqSpeedup {
-    /// Eval-phase pair throughput on [`SeqBackend::Scalar`].
-    pub scalar_pairs_per_sec: f64,
-    /// Eval-phase pair throughput on [`SeqBackend::Packed`].
-    pub packed_pairs_per_sec: f64,
-    /// `packed_pairs_per_sec / scalar_pairs_per_sec`.
-    pub speedup: f64,
-}
-
 /// A full BENCH snapshot: the suite results plus provenance.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -216,12 +204,11 @@ pub struct Snapshot {
     pub threads: usize,
     /// Faulty-sweep evaluation strategy the engine entries ran with.
     pub eval_mode: String,
-    /// Backend the sequential entries ran on (`"packed"`, `"scalar"`,
-    /// `"graph"`).
+    /// Backend the sequential entries ran on (`"packed"`, `"graph"`).
     pub seq_backend: String,
     /// Resolved evaluation word width in 64-bit sub-words (a `0` request is
-    /// resolved through `SCAL_WORD_WIDTH` and CPU-feature detection before
-    /// recording, so snapshots document what actually ran).
+    /// resolved through CPU-feature detection before recording, so
+    /// snapshots document what actually ran).
     pub word_width: usize,
     /// Wide-word CPU features detected on the suite machine (`"avx2"`,
     /// `"avx512f"`); empty on other architectures.
@@ -232,9 +219,6 @@ pub struct Snapshot {
     pub circuits: Vec<CircuitBench>,
     /// Measured full-vs-cone throughput on the adder8 full-fault campaign.
     pub adder8_speedup: Option<ConeSpeedup>,
-    /// Measured scalar-vs-packed throughput on the kohavi_codeconv
-    /// sequential campaign.
-    pub seq_speedup: Option<SeqSpeedup>,
     /// Serve-path latency quantiles from an in-process service burst.
     pub serve_latency: Option<ServeLatency>,
 }
@@ -314,13 +298,6 @@ impl Snapshot {
             so.float("speedup", s.speedup);
             so.float("ops_skipped_fraction", s.ops_skipped_fraction);
             o.raw("adder8_speedup", &so.finish());
-        }
-        if let Some(s) = &self.seq_speedup {
-            let mut so = JsonObject::new();
-            so.float("scalar_pairs_per_sec", s.scalar_pairs_per_sec);
-            so.float("packed_pairs_per_sec", s.packed_pairs_per_sec);
-            so.float("speedup", s.speedup);
-            o.raw("seq_speedup", &so.finish());
         }
         if let Some(s) = &self.serve_latency {
             let mut so = JsonObject::new();
@@ -403,14 +380,6 @@ impl Snapshot {
                 100.0 * s.ops_skipped_fraction
             );
         }
-        if let Some(s) = &self.seq_speedup {
-            let _ = writeln!(
-                out,
-                "  kohavi_codeconv seq eval: {:.0} pairs/s scalar -> {:.0} pairs/s packed \
-                 ({:.1}x)",
-                s.scalar_pairs_per_sec, s.packed_pairs_per_sec, s.speedup
-            );
-        }
         if let Some(s) = &self.serve_latency {
             let _ = writeln!(
                 out,
@@ -443,7 +412,7 @@ pub struct Regression {
 
 /// Measures eval-phase throughput of the adder8 full-fault campaign (no
 /// dropping) in both eval modes, plus the cone run's skipped-op fraction.
-fn measure_adder8_speedup(threads: usize) -> Option<ConeSpeedup> {
+fn measure_adder8_speedup(threads: usize, fault_collapse: bool) -> Option<ConeSpeedup> {
     let circuit = paper::ripple_adder(8);
     let mut rates = [0.0f64; 2];
     let mut skipped = 0.0f64;
@@ -453,6 +422,7 @@ fn measure_adder8_speedup(threads: usize) -> Option<ConeSpeedup> {
             let _ = scal_faults::Campaign::new(&circuit)
                 .threads(threads)
                 .eval_mode(mode)
+                .fault_collapse(fault_collapse)
                 .observer(&prof)
                 .run()
                 .expect("adder8 is engine-compatible");
@@ -473,35 +443,6 @@ fn measure_adder8_speedup(threads: usize) -> Option<ConeSpeedup> {
     })
 }
 
-/// Measures eval-phase throughput of the kohavi_codeconv sequential
-/// campaign on the per-fault scalar backend and the fault-per-lane packed
-/// backend, under the suite's standard drive.
-fn measure_seq_speedup(threads: usize) -> Option<SeqSpeedup> {
-    let m = kohavi_0101();
-    let machine = code_conversion_machine(&m);
-    let words = suite_words();
-    let mut rates = [0.0f64; 2];
-    for (i, backend) in [SeqBackend::Scalar, SeqBackend::Packed]
-        .into_iter()
-        .enumerate()
-    {
-        let prof = Profiler::new();
-        rates[i] = aggregate_rate(&prof, || {
-            scal_seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(backend)
-                .observer(&prof)
-                .run()
-                .expect("suite machines are engine-compatible");
-        })?;
-    }
-    (rates[0] > 0.0).then(|| SeqSpeedup {
-        scalar_pairs_per_sec: rates[0],
-        packed_pairs_per_sec: rates[1],
-        speedup: rates[1] / rates[0],
-    })
-}
-
 /// Jobs in the serve-latency burst: enough samples for a meaningful p99
 /// on small loopback latencies without stretching the suite run.
 const SERVE_LATENCY_JOBS: usize = 32;
@@ -512,7 +453,7 @@ const SERVE_LATENCY_JOBS: usize = 32;
 /// own telemetry histograms back through [`scal_serve::ServerHandle::telemetry`]
 /// (no HTTP scrape involved). `None` when the loopback bind fails (e.g. a
 /// sandbox without sockets).
-fn measure_serve_latency() -> Option<ServeLatency> {
+fn measure_serve_latency(fault_collapse: bool) -> Option<ServeLatency> {
     use scal_serve::client::demo;
     let server = scal_serve::serve(scal_serve::ServeConfig::default()).ok()?;
     let client = scal_serve::Client::new(server.addr().to_string());
@@ -524,7 +465,9 @@ fn measure_serve_latency() -> Option<ServeLatency> {
         .map(|_| {
             let client = client.clone();
             std::thread::spawn(move || {
-                let Ok(stream) = client.submit(&demo::pair_spec(4, false)) else {
+                let mut spec = demo::pair_spec(4, false);
+                spec.fault_collapse = Some(fault_collapse);
+                let Ok(stream) = client.submit(&spec) else {
                     return false;
                 };
                 stream
@@ -562,8 +505,7 @@ fn measure_serve_latency() -> Option<ServeLatency> {
     })
 }
 
-/// The fixed drive the sequential suite entries (and the seq speedup
-/// measurement) replay.
+/// The fixed drive the sequential suite entries replay.
 fn suite_words() -> Vec<Vec<bool>> {
     [0u32, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1]
         .iter()
@@ -576,24 +518,25 @@ fn suite_words() -> Vec<Vec<bool>> {
 /// `threads` is the engine worker count (`0` = auto, resolved before
 /// recording); the CPU entry is unaffected by it. `eval_mode` selects the
 /// faulty-sweep strategy of the engine entries and `seq_backend` the
-/// sequential-campaign backend; the adder8 full-vs-cone and the seq
-/// scalar-vs-packed speedups are measured in both respective configurations
-/// regardless. `word_width` is the evaluation word width in 64-bit
-/// sub-words (`0` = resolve through `SCAL_WORD_WIDTH` and CPU-feature
-/// detection); the small Ch. 3 networks additionally enable fault-per-lane
-/// packing, which is where wide words pay off on short pattern spaces.
+/// sequential-campaign backend; the adder8 full-vs-cone speedup is measured
+/// in both configurations regardless. `word_width` is the evaluation word
+/// width in 64-bit sub-words (`0` = CPU-feature detection); the small Ch. 3
+/// networks additionally enable fault-per-lane packing, which is where wide
+/// words pay off on short pattern spaces. `fault_collapse` switches
+/// compile-time fault collapsing on every campaign of the suite.
 ///
 /// # Panics
 ///
 /// Panics if a suite circuit fails to compile or simulate — the suite is
 /// fixed and known-good, so that is a build break, not a report outcome —
-/// or if `word_width` (or `SCAL_WORD_WIDTH`) names an unusable width.
+/// or if `word_width` names an unusable width.
 #[must_use]
 pub fn run_suite(
     threads: usize,
     eval_mode: EvalMode,
     seq_backend: SeqBackend,
     word_width: usize,
+    fault_collapse: bool,
 ) -> Snapshot {
     let mut circuits = Vec::new();
 
@@ -615,6 +558,7 @@ pub fn run_suite(
                 .eval_mode(eval_mode)
                 .word_width(word_width)
                 .fault_packing(pack)
+                .fault_collapse(fault_collapse)
                 .observer(&prof)
                 .coverage(&cov)
                 .run()
@@ -639,8 +583,8 @@ pub fn run_suite(
             scal_seq::Campaign::new(&machine, &words)
                 .threads(threads)
                 .backend(seq_backend)
-                .eval_mode(eval_mode)
                 .word_width(word_width)
+                .fault_collapse(fault_collapse)
                 .observer(&prof)
                 .coverage(&cov)
                 .run()
@@ -657,6 +601,7 @@ pub fn run_suite(
     let prof = Profiler::new();
     let rate = aggregate_rate(&prof, || {
         let _ = CpuCampaign::new(CpuUnit::Adder)
+            .fault_collapse(fault_collapse)
             .observer(&prof)
             .coverage(&cov)
             .run();
@@ -678,9 +623,8 @@ pub fn run_suite(
             .collect(),
         suite: "standard".to_string(),
         circuits,
-        adder8_speedup: measure_adder8_speedup(threads),
-        seq_speedup: measure_seq_speedup(threads),
-        serve_latency: measure_serve_latency(),
+        adder8_speedup: measure_adder8_speedup(threads, fault_collapse),
+        serve_latency: measure_serve_latency(fault_collapse),
     }
 }
 
@@ -728,7 +672,7 @@ fn compile_only_row(name: &str, kind: SynthKind, target_gates: usize) -> Circuit
 /// `target_gates` sizes every generated design (gate counts land within a
 /// constructive rounding of the target). One row — the self-dualized random
 /// network, whose 13 inputs keep the pair sweep tractable — runs a real
-/// engine campaign over the first [`LARGE_SUITE_FAULTS`] collapsed faults;
+/// engine campaign over the first `LARGE_SUITE_FAULTS` collapsed faults;
 /// the remaining generators produce compile-only scaling rows (compile wall
 /// time + schedule footprint), since their input counts exceed the engine's
 /// exhaustive-sweep domain.
@@ -737,13 +681,14 @@ fn compile_only_row(name: &str, kind: SynthKind, target_gates: usize) -> Circuit
 ///
 /// Panics if a generated circuit fails to compile or simulate — the
 /// generators are deterministic and tested, so that is a build break — or
-/// if `word_width` (or `SCAL_WORD_WIDTH`) names an unusable width.
+/// if `word_width` names an unusable width.
 #[must_use]
 pub fn run_large_suite(
     threads: usize,
     eval_mode: EvalMode,
     target_gates: usize,
     word_width: usize,
+    fault_collapse: bool,
 ) -> Snapshot {
     let mut circuits = Vec::new();
 
@@ -760,6 +705,7 @@ pub fn run_large_suite(
         .threads(threads)
         .eval_mode(eval_mode)
         .word_width(word_width)
+        .fault_collapse(fault_collapse)
         .observer(&prof)
         .coverage(&cov)
         .run()
@@ -794,7 +740,6 @@ pub fn run_large_suite(
         suite: "large".to_string(),
         circuits,
         adder8_speedup: None,
-        seq_speedup: None,
         serve_latency: None,
     }
 }
@@ -913,7 +858,7 @@ mod tests {
 
     #[test]
     fn suite_snapshot_is_complete_and_json_valid() {
-        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1);
+        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1, true);
         assert_eq!(snap.threads, 1);
         assert_eq!(snap.seq_backend, "packed");
         assert_eq!(snap.word_width, 1);
@@ -988,16 +933,6 @@ mod tests {
                 .is_some(),
             "{json}"
         );
-        let seq = snap.seq_speedup.as_ref().expect("seq speedup measurement");
-        assert!(seq.scalar_pairs_per_sec > 0.0);
-        assert!(seq.packed_pairs_per_sec > 0.0);
-        assert!(
-            v.get("seq_speedup")
-                .and_then(|s| s.get("speedup"))
-                .and_then(JsonValue::as_f64)
-                .is_some(),
-            "{json}"
-        );
         let circuits = v.get("circuits").and_then(JsonValue::as_array).unwrap();
         assert_eq!(circuits.len(), snap.circuits.len());
         let parsed_cov = circuits[0]
@@ -1016,7 +951,7 @@ mod tests {
 
     #[test]
     fn large_suite_snapshot_records_compile_scaling() {
-        let snap = run_large_suite(1, EvalMode::Cone, 4_000, 1);
+        let snap = run_large_suite(1, EvalMode::Cone, 4_000, 1, true);
         assert_eq!(snap.suite, "large");
         let names: Vec<&str> = snap.circuits.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
@@ -1053,7 +988,7 @@ mod tests {
 
     #[test]
     fn doctored_baselines_trigger_regressions() {
-        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1);
+        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1, true);
         // A baseline claiming impossible coverage and throughput.
         let baseline = parse(
             r#"{"circuits": [

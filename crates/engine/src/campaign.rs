@@ -17,8 +17,7 @@
 //! still happens per 64-pair sub-batch in scalar batch order, so reports,
 //! buffered events and work counters are bit-identical at every width —
 //! width only changes throughput. [`EngineConfig::word_width`] selects `W`
-//! (`0` = auto-detected from CPU features, overridable via the
-//! `SCAL_WORD_WIDTH` environment variable).
+//! (`0` = auto-detected from CPU features).
 //!
 //! [`EngineConfig::fault_packing`] turns the sweep two-dimensional: up to 63
 //! faults are broadcast into the bit lanes of every sub-word (lane 0 stays
@@ -31,28 +30,24 @@
 //!
 //! # Observability and cancellation
 //!
-//! [`try_run_pair_campaign`] drives a [`CampaignObserver`] through the whole
-//! run: phase spans for compile / golden / fault-sim / merge, live
-//! [`CampaignEvent::Progress`] ticks from whichever worker finishes a fault,
-//! and per-fault `FaultStart` / `BatchDone` / `FaultDropped` / `FaultFinish`
-//! events. The per-fault events are *buffered* by the worker that simulated
-//! the fault and replayed by the coordinator in fault order during the merge
-//! phase, so a trace is deterministic for a fixed config regardless of the
-//! worker fan-out (only the live `Progress` ticks are emission-order
-//! dependent). A [`CancelToken`] is checked at every 64-pair batch boundary;
-//! on cancellation the campaign returns the longest contiguous fault-ordered
-//! prefix of completed reports, bit-identical to the same prefix of an
-//! uncancelled run.
+//! [`try_run_pair_campaign`] runs on the shared campaign driver
+//! ([`crate::run_campaign`]), which owns compilation, collapsing, the worker
+//! fan-out, the fault-ordered merge and event replay. This module supplies
+//! only the pair-specific parts: the golden sweep, the per-unit simulation
+//! (one fault pattern-major, or a 63-fault chunk under fault packing) with
+//! its buffered `BatchDone` / `FaultDropped` / `ConeStats` events, and the
+//! report → `fault_finish` mapping. A [`CancelToken`] is checked at every
+//! 64-pair batch boundary; on cancellation the campaign returns the longest
+//! contiguous fault-ordered prefix of completed reports, bit-identical to the
+//! same prefix of an uncancelled run.
 
-use crate::collapse::{collapse_overrides, resolve_fault_collapse};
-use crate::compile::{CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
+use crate::compile::{CompileSpans, CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
+use crate::driver::{run_campaign, CampaignKind, CampaignSpec, Finish, UnitCx, UnitOutcome, Work};
 use crate::error::EngineError;
 use crate::eval::WideEvaluator;
-use crate::pool::effective_threads;
 use crate::word::{resolve_word_width, Word, WORD_WIDTHS};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, NullObserver, Phase};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, NullObserver};
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on explicitly requested worker threads — far above any
@@ -113,8 +108,7 @@ impl std::str::FromStr for EvalMode {
 /// A three-state switch for features the engine can decide on its own.
 ///
 /// `Auto` lets the campaign pick (packing: the lane-geometry heuristic;
-/// collapsing: on unless the `SCAL_FAULT_COLLAPSE` environment variable says
-/// otherwise); `On` / `Off` force the choice. `From<bool>` maps the forcing
+/// collapsing: on); `On` / `Off` force the choice. `From<bool>` maps the forcing
 /// states so the builders keep their plain-`bool` signatures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Toggle {
@@ -163,9 +157,9 @@ pub struct EngineConfig {
     /// slower than [`EvalMode::Full`]. Ignored in full mode.
     pub golden_cache_bytes: usize,
     /// Wide-word width `W`: 64-lane sub-words per evaluation word. Valid
-    /// values are `1`, `4`, `8`, or `0` = auto (the `SCAL_WORD_WIDTH`
-    /// environment variable if set, else the widest width the detected CPU
-    /// features profit from — see [`crate::resolve_word_width`]). Every
+    /// values are `1`, `4`, `8`, or `0` = auto (the widest width the
+    /// detected CPU features profit from — see
+    /// [`crate::resolve_word_width`]). Every
     /// width produces bit-identical reports, events and counters; only
     /// throughput changes.
     pub word_width: usize,
@@ -186,8 +180,7 @@ pub struct EngineConfig {
     /// class at merge time, so reports, coverage maps and per-fault trace
     /// events are bit-identical to an uncollapsed run — collapsing only
     /// changes how much work the fault-sim phase does. [`Toggle::Auto`]
-    /// (the default) means *on*, unless the `SCAL_FAULT_COLLAPSE`
-    /// environment variable (`0`/`off`/`false`) vetoes it.
+    /// (the default) means *on*.
     pub fault_collapse: Toggle,
 }
 
@@ -262,7 +255,7 @@ impl EngineConfigBuilder {
 
     /// Forces compile-time fault collapsing on or off (see
     /// [`EngineConfig::fault_collapse`]; the unset default is
-    /// [`Toggle::Auto`] = on unless `SCAL_FAULT_COLLAPSE` vetoes).
+    /// [`Toggle::Auto`] = on).
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -676,38 +669,12 @@ impl<const W: usize> WorkerState<W> {
     }
 }
 
-/// Everything one unit of fault simulation produced: the reports (one per
-/// fault — a single fault on the pattern-major path, a whole chunk under
-/// fault packing), work counters, and (when tracing) the events buffered
-/// for the deterministic merge replay.
-struct SimOutcome {
-    reports: Vec<PairReport>,
-    pairs: u64,
-    words: u64,
-    /// Wall time this worker spent inside the unit's sweeps.
-    eval_micros: u64,
-    events: Vec<CampaignEvent>,
-}
+/// One simulated fault's verdict: its report plus the pairs it swept (the
+/// `fault_finish` work count, which drop truncation makes per-fault).
+type PairVerdict = (PairReport, u64);
 
 fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Rewrites the fault index carried by a buffered per-fault event. Merge
-/// expansion replays representative events under each original fault's
-/// index; events without a fault field pass through unchanged.
-fn remap_fault(event: &CampaignEvent, fault: usize) -> CampaignEvent {
-    let mut e = event.clone();
-    match &mut e {
-        CampaignEvent::FaultStart { fault: f, .. }
-        | CampaignEvent::BatchDone { fault: f, .. }
-        | CampaignEvent::FaultDropped { fault: f, .. }
-        | CampaignEvent::ConeStats { fault: f, .. }
-        | CampaignEvent::FaultFinish { fault: f, .. }
-        | CampaignEvent::FaultClass { fault: f, .. } => *f = fault,
-        _ => {}
-    }
-    e
 }
 
 /// Tracks the minimum schedule level at which a cone frontier died across a
@@ -725,18 +692,15 @@ fn note_death(died_min: &mut Option<u32>, cone: &FaultCone, evaluated: u32) {
 /// Returns `None` if the token cancelled the sweep at a group boundary (the
 /// fault's partial work is discarded); the evaluator is left clean either
 /// way.
-#[allow(clippy::too_many_arguments)]
 fn sim_fault<const W: usize>(
     compiled: &CompiledCircuit,
     sweep: &Sweep<W>,
     config: &EngineConfig,
     ws: &mut WorkerState<W>,
     fault: Override,
-    index: usize,
-    worker: usize,
-    record: bool,
-    cancel: Option<&CancelToken>,
-) -> Option<SimOutcome> {
+    cx: &UnitCx<'_>,
+) -> Option<UnitOutcome<PairVerdict>> {
+    let (index, worker, record) = (cx.faults.start, cx.worker, cx.record);
     let sweep_t = Instant::now();
     let mut detected = Vec::new();
     let mut violations = Vec::new();
@@ -745,12 +709,6 @@ fn sim_fault<const W: usize>(
     let mut pairs = 0u64;
     let mut words = 0u64;
     let mut events = Vec::new();
-    if record {
-        events.push(CampaignEvent::FaultStart {
-            fault: index,
-            worker,
-        });
-    }
     let WorkerState { ev, scratch, cone } = ws;
     let fault_cone = cone
         .as_ref()
@@ -760,7 +718,7 @@ fn sim_fault<const W: usize>(
     ev.install(compiled, std::slice::from_ref(&fault));
     let batches = sweep.bases.len();
     'groups: for g in 0..sweep.groups() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if cx.cancel.is_some_and(CancelToken::is_cancelled) {
             ev.uninstall();
             return None;
         }
@@ -776,14 +734,14 @@ fn sim_fault<const W: usize>(
             // early.
             let e1 = if sweep.has_slot_cache() {
                 let cached = sweep.group_slots(g, 0);
-                ev.eval_cone_w(compiled, fc, |s| cached[s], &[], wide_mask, &mut cw.expire)
+                ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, &mut cw.expire)
             } else {
                 let stream = cw.stream.as_mut().expect("streaming golden evaluator");
                 stream
                     .try_eval_w(compiled, sweep.group_words1(g), &[])
                     .expect("golden sweep arity");
                 let slots = stream.slots_w();
-                ev.eval_cone_w(compiled, fc, |s| slots[s], &[], wide_mask, &mut cw.expire)
+                ev.eval_cone_w(compiled, fc, |s| slots[s], wide_mask, &mut cw.expire)
             };
             for &(k, ord) in &fc.outputs {
                 let k = k as usize;
@@ -795,14 +753,14 @@ fn sim_fault<const W: usize>(
             }
             let e2 = if sweep.has_slot_cache() {
                 let cached = sweep.group_slots(g, 1);
-                ev.eval_cone_w(compiled, fc, |s| cached[s], &[], wide_mask, &mut cw.expire)
+                ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, &mut cw.expire)
             } else {
                 let stream = cw.stream.as_mut().expect("streaming golden evaluator");
                 stream
                     .try_eval_w(compiled, sweep.group_words2(g), &[])
                     .expect("golden sweep arity");
                 let slots = stream.slots_w();
-                ev.eval_cone_w(compiled, fc, |s| slots[s], &[], wide_mask, &mut cw.expire)
+                ev.eval_cone_w(compiled, fc, |s| slots[s], wide_mask, &mut cw.expire)
             };
             ops_evaluated += u64::from(e1) + u64::from(e2);
             note_death(&mut died_min, fc, e1);
@@ -922,30 +880,22 @@ fn sim_fault<const W: usize>(
                 frontier_died_at_level: died_min,
             });
         }
-        events.push(CampaignEvent::FaultFinish {
-            fault: index,
-            worker,
-            detected: detected.len(),
-            violations: violations.len(),
-            observable,
-            dropped,
-            pairs,
-            // Batches sweep ascending minterms, so the smallest detected
-            // minterm is the first detecting pair in sweep order.
-            first_detected: detected.first().copied(),
-        });
     }
-    Some(SimOutcome {
-        reports: vec![PairReport {
-            detected_pairs: detected,
-            violation_pairs: violations,
-            observable,
-            dropped,
-        }],
-        pairs,
-        words,
-        eval_micros,
-        events,
+    let report = PairReport {
+        detected_pairs: detected,
+        violation_pairs: violations,
+        observable,
+        dropped,
+    };
+    Some(UnitOutcome {
+        verdicts: vec![(report, pairs)],
+        unit_events: Vec::new(),
+        fault_events: if record { vec![events] } else { Vec::new() },
+        work: Work {
+            pairs,
+            words,
+            micros: eval_micros,
+        },
     })
 }
 
@@ -962,17 +912,14 @@ fn sim_fault<const W: usize>(
 /// mask at the next batch boundary), and the sweep exits early once every
 /// lane has retired. Returns `None` if the token cancelled mid-chunk (the
 /// chunk's partial work is discarded).
-#[allow(clippy::too_many_arguments)]
 fn sim_fault_chunk<const W: usize>(
     compiled: &CompiledCircuit,
     sweep: &Sweep<W>,
     config: &EngineConfig,
     faults: &[Override],
-    first: usize,
-    worker: usize,
-    record: bool,
-    cancel: Option<&CancelToken>,
-) -> Option<SimOutcome> {
+    cx: &UnitCx<'_>,
+) -> Option<UnitOutcome<PairVerdict>> {
+    let (first, worker, record) = (cx.faults.start, cx.worker, cx.record);
     let sweep_t = Instant::now();
     let nf = faults.len();
     debug_assert!((1..=63).contains(&nf));
@@ -995,22 +942,13 @@ fn sim_fault_chunk<const W: usize>(
     // end of its first detecting 64-pair batch. `u32::MAX` = never detected.
     let mut limit = vec![u32::MAX; nf];
     let mut live = all_lanes;
-    let mut events = Vec::new();
-    if record {
-        for i in 0..nf {
-            events.push(CampaignEvent::FaultStart {
-                fault: first + i,
-                worker,
-            });
-        }
-    }
     let mut inputs1 = vec![Word::<W>::ZERO; sweep.n_inputs];
     let mut inputs2 = vec![Word::<W>::ZERO; sweep.n_inputs];
     let mut out1 = vec![Word::<W>::ZERO; sweep.n_outputs];
     let mut words = 0u64;
     let mut p0 = 0u32;
     'sweep: while p0 < total_pairs {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if cx.cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
         let real = ((total_pairs - p0) as usize).min(W);
@@ -1083,16 +1021,8 @@ fn sim_fault_chunk<const W: usize>(
         p0 += real as u32;
     }
     let eval_micros = duration_micros(sweep_t.elapsed());
-    if record {
-        events.push(CampaignEvent::LaneBatch {
-            batch: first / 63,
-            worker,
-            lanes: nf,
-            words,
-            retired: limit.iter().filter(|&&l| l != u32::MAX).count(),
-        });
-    }
-    let mut reports = Vec::with_capacity(nf);
+    let mut verdicts = Vec::with_capacity(nf);
+    let mut fault_events = Vec::new();
     let mut pairs = 0u64;
     for (f, ((det_pairs, viol_pairs), obs_f)) in detected
         .into_iter()
@@ -1108,47 +1038,55 @@ fn sim_fault_chunk<const W: usize>(
         };
         pairs += fault_pairs;
         if record {
-            if fault_dropped {
-                events.push(CampaignEvent::FaultDropped {
+            fault_events.push(if fault_dropped {
+                vec![CampaignEvent::FaultDropped {
                     fault: first + f,
                     worker,
                     batch: (limit[f] / 64 - 1) as usize,
-                });
-            }
-            events.push(CampaignEvent::FaultFinish {
-                fault: first + f,
-                worker,
-                detected: det_pairs.len(),
-                violations: viol_pairs.len(),
-                observable: obs_f,
-                dropped: fault_dropped,
-                pairs: fault_pairs,
-                first_detected: det_pairs.first().copied(),
+                }]
+            } else {
+                Vec::new()
             });
         }
-        reports.push(PairReport {
+        let report = PairReport {
             detected_pairs: det_pairs,
             violation_pairs: viol_pairs,
             observable: obs_f,
             dropped: fault_dropped,
-        });
+        };
+        verdicts.push((report, fault_pairs));
     }
-    if record {
-        // One aggregated span per chunk: its whole 2-D sweep.
-        events.push(CampaignEvent::Span {
-            name: "eval_batch",
-            parent: "fault_sim",
+    let unit_events = if record {
+        // The chunk's lane batch, then one aggregated span for its whole
+        // 2-D sweep.
+        vec![
+            CampaignEvent::LaneBatch {
+                batch: cx.unit,
+                worker,
+                lanes: nf,
+                words,
+                retired: limit.iter().filter(|&&l| l != u32::MAX).count(),
+            },
+            CampaignEvent::Span {
+                name: "eval_batch",
+                parent: "fault_sim",
+                micros: eval_micros,
+                count: words / 2,
+                items: pairs,
+            },
+        ]
+    } else {
+        Vec::new()
+    };
+    Some(UnitOutcome {
+        verdicts,
+        unit_events,
+        fault_events,
+        work: Work {
+            pairs,
+            words,
             micros: eval_micros,
-            count: words / 2,
-            items: pairs,
-        });
-    }
-    Some(SimOutcome {
-        reports,
-        pairs,
-        words,
-        eval_micros,
-        events,
+        },
     })
 }
 
@@ -1193,29 +1131,11 @@ pub fn run_pair_campaign(
 ///
 /// [`EngineError::Sequential`] for sequential circuits,
 /// [`EngineError::UnsupportedInputs`] outside `1..=24` inputs,
-/// [`EngineError::InvalidConfig`] for an unusable word width (including an
-/// unparsable `SCAL_WORD_WIDTH` environment override), compile errors from
-/// [`CompiledCircuit::try_compile`], and [`EngineError::NotAlternating`] if
-/// a fault-free output fails to alternate.
+/// [`EngineError::InvalidConfig`] for an unusable word width, compile errors
+/// from [`CompiledCircuit::try_compile`], and
+/// [`EngineError::NotAlternating`] if a fault-free output fails to
+/// alternate.
 pub fn try_run_pair_campaign(
-    circuit: &Circuit,
-    faults: &[Override],
-    config: &EngineConfig,
-    observer: &dyn CampaignObserver,
-    cancel: Option<&CancelToken>,
-) -> Result<PairCampaign, EngineError> {
-    match resolve_word_width(config.word_width)? {
-        1 => run_campaign::<1>(circuit, faults, config, observer, cancel),
-        4 => run_campaign::<4>(circuit, faults, config, observer, cancel),
-        8 => run_campaign::<8>(circuit, faults, config, observer, cancel),
-        other => Err(EngineError::InvalidConfig {
-            reason: format!("unsupported word width {other}"),
-        }),
-    }
-}
-
-/// The width-monomorphized campaign body behind [`try_run_pair_campaign`].
-fn run_campaign<const W: usize>(
     circuit: &Circuit,
     faults: &[Override],
     config: &EngineConfig,
@@ -1229,470 +1149,218 @@ fn run_campaign<const W: usize>(
     if !(1..=24).contains(&n) {
         return Err(EngineError::UnsupportedInputs { inputs: n });
     }
-
-    let total_t = Instant::now();
-    let obs = observer.enabled();
-    let mut stats = EngineStats::default();
-
-    // Compile — and collapse — before the event preamble: the lane-geometry
-    // decision under `Toggle::Auto` needs the *simulated* (post-collapse)
-    // fault count, but `campaign_start` / `eval_mode` / `lane_geometry`
-    // precede the compile-phase events in the trace contract. The phase is
-    // timed here and its events are emitted below.
-    let t = Instant::now();
-    let (compiled, cspans) = CompiledCircuit::try_compile_timed(circuit)?;
-    let collapse_on = resolve_fault_collapse(config.fault_collapse)?;
-    let collapsed = if collapse_on {
-        Some(collapse_overrides(&compiled, faults))
-    } else {
-        None
+    let spec = CampaignSpec {
+        campaign: "pair",
+        circuit,
+        faults,
+        threads: config.threads,
+        fault_collapse: config.fault_collapse,
+        observer,
+        cancel,
     };
-    stats.compile_time = t.elapsed();
-    // The fault list the sweeps actually run: class representatives under
-    // collapsing, the caller's list verbatim otherwise.
-    let sim_faults: Vec<Override> = match &collapsed {
-        Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-        None => faults.to_vec(),
-    };
-
-    // Lane-geometry decision: forced by the config, else pack exactly when
-    // the packed whole-schedule sweep count beats the pattern-major one —
-    // packed runs `⌈F/63⌉` chunk sweeps of `P` patterns each, pattern-major
-    // runs `F` faults of `⌈P/64⌉` batches each.
-    let packing = match config.fault_packing {
-        Toggle::On => true,
-        Toggle::Off => false,
-        Toggle::Auto => {
-            let f = sim_faults.len() as u64;
-            let p = 1u64 << (n - 1);
-            f > 0 && f.div_ceil(63) * p < f * p.div_ceil(64)
+    let run = match resolve_word_width(config.word_width)? {
+        1 => run_campaign(&spec, |c| Ok(PairKind::<1>::plan(c, config))),
+        4 => run_campaign(&spec, |c| Ok(PairKind::<4>::plan(c, config))),
+        8 => run_campaign(&spec, |c| Ok(PairKind::<8>::plan(c, config))),
+        other => {
+            return Err(EngineError::InvalidConfig {
+                reason: format!("unsupported word width {other}"),
+            })
         }
-    };
-
-    // Work units: one fault on the pattern-major path, one ≤63-fault chunk
-    // under fault packing.
-    let units = if packing {
-        sim_faults.len().div_ceil(63)
-    } else {
-        sim_faults.len()
-    };
-    let threads = effective_threads(config.threads, units);
-    if obs {
-        observer.on_event(&CampaignEvent::CampaignStart {
-            campaign: "pair",
-            faults: faults.len(),
-            inputs: n,
-            outputs: circuit.outputs().len(),
-            threads,
-        });
-        observer.on_event(&CampaignEvent::EvalMode {
-            // Fault packing forces full-schedule evaluation: cone
-            // restriction does not compose with 63 distinct fanout cones
-            // per word.
-            mode: if packing {
-                EvalMode::Full.name()
-            } else {
-                config.eval_mode.name()
-            },
-        });
-        let (fault_lanes, pattern_lanes, geometry) = if packing {
-            (63, W, "fault")
-        } else {
-            (0, 64 * W, "pattern")
-        };
-        observer.on_event(&CampaignEvent::LaneGeometry {
-            width: W,
-            fault_lanes,
-            pattern_lanes,
-            packing: geometry,
-        });
-
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Compile,
-        });
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Compile,
-            micros: duration_micros(stats.compile_time),
-        });
-        observer.on_event(&CampaignEvent::Span {
-            name: "levelize",
-            parent: "compile",
-            micros: cspans.levelize_micros,
-            count: 1,
-            items: compiled.num_ops() as u64,
-        });
-        observer.on_event(&CampaignEvent::Span {
-            name: "pack",
-            parent: "compile",
-            micros: cspans.pack_micros,
-            count: 1,
-            items: (compiled.num_inputs() + compiled.num_outputs()) as u64,
-        });
-        // Memory accounting rides the span channel: `items` carries the
-        // compiled schedule's heap footprint in bytes.
-        observer.on_event(&CampaignEvent::Span {
-            name: "compile_mem",
-            parent: "compile",
-            micros: 0,
-            count: 1,
-            items: compiled.memory_bytes(),
-        });
-        if let Some(cl) = &collapsed {
-            observer.on_event(&CampaignEvent::Span {
-                name: "collapse",
-                parent: "compile",
-                micros: cl.micros,
-                count: 1,
-                items: cl.num_faults() as u64,
-            });
-            observer.on_event(&CampaignEvent::FaultCollapse {
-                faults: cl.num_faults(),
-                representatives: cl.num_reps(),
-                dominance_edges: cl.dominance_edges,
-                micros: cl.micros,
-            });
-        }
-        for (level, &gates) in compiled.level_gates().iter().enumerate() {
-            observer.on_event(&CampaignEvent::LevelGates { level, gates });
-        }
-    }
-
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Golden,
-        });
-    }
-    let cache_bytes = if packing {
-        None
-    } else {
-        match config.eval_mode {
-            EvalMode::Full => None,
-            EvalMode::Cone => Some(if config.golden_cache_bytes == 0 {
-                DEFAULT_GOLDEN_CACHE_BYTES
-            } else {
-                config.golden_cache_bytes
-            }),
-        }
-    };
-    let mut golden_ev = WideEvaluator::<W>::new(&compiled);
-    let (sweep, golden_words) = Sweep::<W>::try_build(&compiled, &mut golden_ev, cache_bytes)?;
-    stats.golden_time = t.elapsed();
-    stats.words_evaluated = golden_words;
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Golden,
-            micros: duration_micros(stats.golden_time),
-        });
-    }
-
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::FaultSim,
-        });
-    }
-    let mut slots: Vec<Option<SimOutcome>> = Vec::with_capacity(units);
-    slots.resize_with(units, || None);
-    if packing {
-        if threads <= 1 {
-            for (c, slot) in slots.iter_mut().enumerate() {
-                let (lo, hi) = (c * 63, ((c + 1) * 63).min(sim_faults.len()));
-                let Some(outcome) = sim_fault_chunk::<W>(
-                    &compiled,
-                    &sweep,
-                    config,
-                    &sim_faults[lo..hi],
-                    lo,
-                    0,
-                    obs,
-                    cancel,
-                ) else {
-                    break;
-                };
-                *slot = Some(outcome);
-                if obs {
-                    observer.on_event(&CampaignEvent::Progress {
-                        done: hi,
-                        total: sim_faults.len(),
-                    });
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let (compiled, sweep, config) = (&compiled, &sweep, config);
-                        let (sim_faults, cursor, done) = (&sim_faults, &cursor, &done);
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                if cancel.is_some_and(CancelToken::is_cancelled) {
-                                    break;
-                                }
-                                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                if c >= units {
-                                    break;
-                                }
-                                let (lo, hi) = (c * 63, ((c + 1) * 63).min(sim_faults.len()));
-                                let Some(outcome) = sim_fault_chunk::<W>(
-                                    compiled,
-                                    sweep,
-                                    config,
-                                    &sim_faults[lo..hi],
-                                    lo,
-                                    worker,
-                                    obs,
-                                    cancel,
-                                ) else {
-                                    break;
-                                };
-                                local.push((c, outcome));
-                                if obs {
-                                    observer.on_event(&CampaignEvent::Progress {
-                                        done: done.fetch_add(hi - lo, Ordering::Relaxed)
-                                            + (hi - lo),
-                                        total: sim_faults.len(),
-                                    });
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (c, outcome) in h.join().expect("campaign worker panicked") {
-                        slots[c] = Some(outcome);
-                    }
-                }
-            });
-        }
-    } else if threads <= 1 {
-        // Reuse the warm golden evaluator's scratch.
-        let mut ws = WorkerState::with_evaluator(golden_ev, &compiled, &sweep, config);
-        for (i, &fault) in sim_faults.iter().enumerate() {
-            let Some(outcome) =
-                sim_fault(&compiled, &sweep, config, &mut ws, fault, i, 0, obs, cancel)
-            else {
-                break;
-            };
-            slots[i] = Some(outcome);
-            if obs {
-                observer.on_event(&CampaignEvent::Progress {
-                    done: i + 1,
-                    total: sim_faults.len(),
-                });
-            }
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let (compiled, sweep, config) = (&compiled, &sweep, config);
-                    let (sim_faults, cursor, done) = (&sim_faults, &cursor, &done);
-                    scope.spawn(move || {
-                        let mut ws = WorkerState::new(compiled, sweep, config);
-                        let mut local = Vec::new();
-                        loop {
-                            if cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= sim_faults.len() {
-                                break;
-                            }
-                            let Some(outcome) = sim_fault(
-                                compiled,
-                                sweep,
-                                config,
-                                &mut ws,
-                                sim_faults[i],
-                                i,
-                                worker,
-                                obs,
-                                cancel,
-                            ) else {
-                                break;
-                            };
-                            local.push((i, outcome));
-                            if obs {
-                                observer.on_event(&CampaignEvent::Progress {
-                                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                                    total: sim_faults.len(),
-                                });
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, outcome) in h.join().expect("campaign worker panicked") {
-                    slots[i] = Some(outcome);
-                }
-            }
-        });
-    }
-    stats.fault_sim_time = t.elapsed();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::FaultSim,
-            micros: duration_micros(stats.fault_sim_time),
-        });
-    }
-
-    // Merge: keep the longest contiguous fault-ordered prefix (the whole run
-    // unless cancelled) and replay each kept fault's buffered events in
-    // order, so traces are deterministic regardless of worker scheduling.
-    let merge_t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Merge,
-        });
-    }
-    let completed_units = slots.iter().take_while(|s| s.is_some()).count();
-    let outcomes: Vec<SimOutcome> = slots
-        .into_iter()
-        .take(completed_units)
-        .map(|s| s.expect("prefix is complete"))
-        .collect();
+    }?;
+    let reports: Vec<PairReport> = run.verdicts.into_iter().map(|(r, _)| r).collect();
     // Work counters (pairs, words, eval time) measure representative work —
-    // the point of collapsing — while fault counts and reports below are
-    // expanded over original faults.
-    for outcome in &outcomes {
-        stats.pairs_evaluated += outcome.pairs;
-        stats.words_evaluated += outcome.words;
-        stats.eval_time += Duration::from_micros(outcome.eval_micros);
-    }
-    let mut reports = Vec::with_capacity(faults.len());
-    match &collapsed {
-        None => {
-            for outcome in outcomes {
-                stats.faults_dropped += outcome.reports.iter().filter(|r| r.dropped).count();
-                if obs {
-                    for e in &outcome.events {
-                        observer.on_event(e);
-                    }
-                }
-                reports.extend(outcome.reports);
-            }
-        }
-        Some(cl) => {
-            // Expansion: every completed original fault gets a clone of its
-            // representative's verdict. Buffered event indices carry
-            // *representative* positions; they are remapped so the replayed
-            // trace speaks in original-fault indices, in original-fault
-            // order — bit-identical to the uncollapsed replay when every
-            // class is a singleton.
-            let completed_reps = if packing {
-                (completed_units * 63).min(cl.num_reps())
-            } else {
-                completed_units
-            };
-            let completed_originals = cl.completed_prefix(completed_reps);
-            if obs && packing {
-                // Chunk-level events (lane batches, sweep spans) replay
-                // first in chunk order; per-fault events follow below.
-                for outcome in &outcomes {
-                    for e in &outcome.events {
-                        if matches!(
-                            e,
-                            CampaignEvent::LaneBatch { .. } | CampaignEvent::Span { .. }
-                        ) {
-                            observer.on_event(e);
-                        }
-                    }
-                }
-            }
-            for o in 0..completed_originals {
-                let r = cl.rep_of[o] as usize;
-                let rep_original = cl.reps[r] as usize;
-                let (outcome, report) = if packing {
-                    let oc = &outcomes[r / 63];
-                    (oc, oc.reports[r % 63].clone())
-                } else {
-                    let oc = &outcomes[r];
-                    (oc, oc.reports[0].clone())
-                };
-                stats.faults_dropped += usize::from(report.dropped);
-                if obs {
-                    if !packing && rep_original == o {
-                        for e in &outcome.events {
-                            observer.on_event(&remap_fault(e, o));
-                        }
-                    } else {
-                        // Synthesized bucket: start, class membership
-                        // (members only), then the representative's
-                        // drop/finish verdicts under the original's index.
-                        let worker = outcome
-                            .events
-                            .iter()
-                            .find_map(|e| match e {
-                                CampaignEvent::FaultStart { fault, worker } if *fault == r => {
-                                    Some(*worker)
-                                }
-                                _ => None,
-                            })
-                            .unwrap_or(0);
-                        observer.on_event(&CampaignEvent::FaultStart { fault: o, worker });
-                        if rep_original != o {
-                            observer.on_event(&CampaignEvent::FaultClass {
-                                fault: o,
-                                representative: rep_original,
-                                size: cl.class_sizes[r] as usize,
-                            });
-                        }
-                        for e in &outcome.events {
-                            if let CampaignEvent::FaultDropped { fault, .. }
-                            | CampaignEvent::FaultFinish { fault, .. } = e
-                            {
-                                if *fault == r {
-                                    observer.on_event(&remap_fault(e, o));
-                                }
-                            }
-                        }
-                    }
-                }
-                reports.push(report);
-            }
-        }
-    }
-    let completed = reports.len();
-    let cancelled = completed < faults.len();
-    stats.faults = completed;
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Merge,
-            micros: duration_micros(merge_t.elapsed()),
-        });
-        if cancelled {
-            observer.on_event(&CampaignEvent::Cancelled { completed });
-        }
-        observer.on_event(&CampaignEvent::CampaignEnd {
-            faults: completed,
-            dropped: stats.faults_dropped,
-            pairs: stats.pairs_evaluated,
-            words: stats.words_evaluated,
-            micros: duration_micros(total_t.elapsed()),
-            cancelled,
-        });
-    }
+    // the point of collapsing — while fault counts are over original faults.
+    let stats = EngineStats {
+        faults: reports.len(),
+        faults_dropped: reports.iter().filter(|r| r.dropped).count(),
+        pairs_evaluated: run.work.pairs,
+        words_evaluated: run.golden_words + run.work.words,
+        compile_time: run.compile_time,
+        golden_time: run.golden_time,
+        fault_sim_time: run.fault_sim_time,
+        eval_time: Duration::from_micros(run.work.micros),
+    };
     Ok(PairCampaign {
         reports,
         stats,
-        cancelled,
+        cancelled: run.cancelled,
     })
+}
+
+/// The pair campaign at word width `W`, as the driver sees it.
+struct PairKind<'a, const W: usize> {
+    compiled: CompiledCircuit,
+    spans: CompileSpans,
+    sim_faults: Vec<Override>,
+    config: &'a EngineConfig,
+    /// 2-D fault × pattern lane packing: 63-fault units instead of one.
+    packing: bool,
+    /// Built by the golden step.
+    sweep: Option<Sweep<W>>,
+}
+
+impl<'a, const W: usize> PairKind<'a, W> {
+    /// Picks the lane geometry: forced by the config, else pack exactly
+    /// when the packed whole-schedule sweep count beats the pattern-major
+    /// one — packed runs `⌈F/63⌉` chunk sweeps of `P` patterns each,
+    /// pattern-major runs `F` faults of `⌈P/64⌉` batches each, over the
+    /// simulated (post-collapse) faults.
+    fn plan(c: crate::driver::Compiled, config: &'a EngineConfig) -> Self {
+        let packing = match config.fault_packing {
+            Toggle::On => true,
+            Toggle::Off => false,
+            Toggle::Auto => {
+                let f = c.sim_faults.len() as u64;
+                let p = 1u64 << (c.circuit.num_inputs() - 1);
+                f > 0 && f.div_ceil(63) * p < f * p.div_ceil(64)
+            }
+        };
+        PairKind {
+            compiled: c.circuit,
+            spans: c.spans,
+            sim_faults: c.sim_faults,
+            config,
+            packing,
+            sweep: None,
+        }
+    }
+
+    fn sweep(&self) -> &Sweep<W> {
+        self.sweep.as_ref().expect("golden step ran")
+    }
+}
+
+impl<const W: usize> CampaignKind for PairKind<'_, W> {
+    /// Pattern-major workers own an evaluator; packed chunks build their
+    /// own lane-planned evaluator per chunk.
+    type Worker = Option<WorkerState<W>>;
+    type Verdict = PairVerdict;
+
+    fn unit_size(&self) -> usize {
+        if self.packing {
+            63
+        } else {
+            1
+        }
+    }
+
+    fn header(&self) -> Vec<CampaignEvent> {
+        // Fault packing forces full-schedule evaluation: cone restriction
+        // does not compose with 63 distinct fanout cones per word.
+        let (mode, fault_lanes, pattern_lanes, packing) = if self.packing {
+            (EvalMode::Full, 63, W, "fault")
+        } else {
+            (self.config.eval_mode, 0, 64 * W, "pattern")
+        };
+        vec![
+            CampaignEvent::EvalMode { mode: mode.name() },
+            CampaignEvent::LaneGeometry {
+                width: W,
+                fault_lanes,
+                pattern_lanes,
+                packing,
+            },
+        ]
+    }
+
+    fn compile_events(&self, collapse: Vec<CampaignEvent>) -> Vec<CampaignEvent> {
+        let compiled = &self.compiled;
+        let mut events = vec![
+            CampaignEvent::Span {
+                name: "levelize",
+                parent: "compile",
+                micros: self.spans.levelize_micros,
+                count: 1,
+                items: compiled.num_ops() as u64,
+            },
+            CampaignEvent::Span {
+                name: "pack",
+                parent: "compile",
+                micros: self.spans.pack_micros,
+                count: 1,
+                items: (compiled.num_inputs() + compiled.num_outputs()) as u64,
+            },
+            // Memory accounting rides the span channel: `items` carries the
+            // compiled schedule's heap footprint in bytes.
+            CampaignEvent::Span {
+                name: "compile_mem",
+                parent: "compile",
+                micros: 0,
+                count: 1,
+                items: compiled.memory_bytes(),
+            },
+        ];
+        events.extend(collapse);
+        events.extend(
+            compiled
+                .level_gates()
+                .iter()
+                .enumerate()
+                .map(|(level, &gates)| CampaignEvent::LevelGates { level, gates }),
+        );
+        events
+    }
+
+    fn golden(&mut self) -> Result<(u64, Option<Self::Worker>), EngineError> {
+        let cache_bytes = match (self.packing, self.config.eval_mode) {
+            (false, EvalMode::Cone) => Some(if self.config.golden_cache_bytes == 0 {
+                DEFAULT_GOLDEN_CACHE_BYTES
+            } else {
+                self.config.golden_cache_bytes
+            }),
+            _ => None,
+        };
+        let mut golden_ev = WideEvaluator::<W>::new(&self.compiled);
+        let (sweep, words) = Sweep::<W>::try_build(&self.compiled, &mut golden_ev, cache_bytes)?;
+        // The inline pattern-major worker reuses the warm golden evaluator.
+        let warm = (!self.packing).then(|| {
+            Some(WorkerState::with_evaluator(
+                golden_ev,
+                &self.compiled,
+                &sweep,
+                self.config,
+            ))
+        });
+        self.sweep = Some(sweep);
+        Ok((words, warm))
+    }
+
+    fn worker(&self) -> Self::Worker {
+        (!self.packing).then(|| WorkerState::new(&self.compiled, self.sweep(), self.config))
+    }
+
+    fn simulate(
+        &self,
+        worker: &mut Self::Worker,
+        cx: &UnitCx<'_>,
+    ) -> Option<UnitOutcome<PairVerdict>> {
+        let faults = &self.sim_faults[cx.faults.clone()];
+        match worker {
+            Some(ws) => sim_fault(&self.compiled, self.sweep(), self.config, ws, faults[0], cx),
+            None => sim_fault_chunk(&self.compiled, self.sweep(), self.config, faults, cx),
+        }
+    }
+
+    fn finish(&self, (report, pairs): &PairVerdict) -> Finish {
+        Finish {
+            detected: report.detected_pairs.len(),
+            violations: report.violation_pairs.len(),
+            observable: report.observable,
+            dropped: report.dropped,
+            pairs: *pairs,
+            // Batches sweep ascending minterms, so the smallest detected
+            // minterm is the first detecting pair in sweep order.
+            first_detected: report.detected_pairs.first().copied(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scal_netlist::{GateKind, Site};
-    use scal_obs::CollectObserver;
+    use scal_obs::{CollectObserver, Phase};
 
     fn xor3() -> Circuit {
         let mut c = Circuit::new();

@@ -18,10 +18,12 @@
 //!    word-wide XOR/AND masks instead of per-lane branching. Fault overrides
 //!    are installed as dense slot forces and fanin patches, not searched per
 //!    node.
-//! 3. **Fan out** ([`run_pair_campaign`], [`par_map`]): faults are
-//!    independent, so they are spread across a scoped worker pool
-//!    (`std::thread::scope`, no external dependencies) with deterministic
-//!    fault-ordered aggregation. [`EngineConfig::drop_after_detection`]
+//! 3. **Fan out** ([`run_campaign`]): faults are independent, so the one
+//!    campaign driver shared by pair, sequential and CPU campaigns spreads
+//!    them across a scoped worker pool (`std::thread::scope`, no external
+//!    dependencies) with deterministic fault-ordered aggregation, collapsed
+//!    verdict expansion and event replay.
+//!    [`EngineConfig::drop_after_detection`]
 //!    optionally stops simulating a fault once it is proven tested; the
 //!    default *exact* mode preserves the full per-pair accounting of the
 //!    scalar reference implementation bit for bit.
@@ -36,10 +38,8 @@
 //! reachable outputs only, with an early exit as soon as the faulty frontier
 //! converges back to golden. [`EvalMode::Full`] re-evaluates the whole
 //! schedule and is kept as the differential oracle; both modes are
-//! bit-identical in everything but speed. Sequential replays get the same
-//! treatment through [`GoldenTrace`] and [`ConeSim`], with the cone widened
-//! across the D→Q arc to a fixed point. On top of that, sequential
-//! campaigns can pack up to 63 faults into the lanes of one word
+//! bit-identical in everything but speed. Sequential campaigns pack up to
+//! 63 faults into the lanes of one word
 //! ([`PackedSeqSim`]): lane 0 replays the golden machine, every other lane
 //! one fault (masked per-lane stem forces, auxiliary branch slots, masked
 //! D-latch blends), so a whole batch replays the driven sequence in a
@@ -64,6 +64,7 @@
 mod campaign;
 mod collapse;
 mod compile;
+mod driver;
 mod error;
 mod eval;
 mod pool;
@@ -75,19 +76,15 @@ pub use campaign::{
     run_pair_campaign, try_run_pair_campaign, EngineConfig, EngineConfigBuilder, EngineStats,
     EvalMode, PairCampaign, PairReport, Toggle, MAX_THREADS,
 };
-pub use collapse::{
-    collapse_overrides, resolve_fault_collapse, CollapsedFaultList, SCAL_FAULT_COLLAPSE_ENV,
-};
+pub use collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
 pub use compile::{CompileSpans, CompiledCircuit};
+pub use driver::{
+    observe, run_campaign, CampaignKind, CampaignSpec, Compiled, Finish, Finished, UnitCx,
+    UnitOutcome, Work,
+};
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
-pub use pool::{effective_threads, par_map, par_map_cancellable, resolved_threads};
-pub use sim::{
-    CompiledSim, ConeSim, ConeSimStats, GoldenTrace, PackedBatchPlan, PackedSeqSim,
-    WidePackedBatchPlan, WidePackedSeqSim,
-};
+pub use pool::{effective_threads, resolved_threads};
+pub use sim::{CompiledSim, PackedBatchPlan, PackedSeqSim, WidePackedBatchPlan, WidePackedSeqSim};
 pub use tables::{all_node_tables, node_table, output_tables};
-pub use word::{
-    auto_word_width, detected_cpu_features, resolve_word_width, Word, SCAL_WORD_WIDTH_ENV,
-    WORD_WIDTHS,
-};
+pub use word::{auto_word_width, detected_cpu_features, resolve_word_width, Word, WORD_WIDTHS};

@@ -30,62 +30,46 @@ pub fn effective_threads(requested: usize, items: usize) -> usize {
         .max(1)
 }
 
-/// Applies `f` to every item, fanning the work across `threads` scoped worker
-/// threads (`0` = auto). Results are returned **in item order** regardless of
-/// which worker produced them — campaigns stay deterministic.
+/// Runs `f(state, worker, item)` for items `0..items` across `threads`
+/// scoped worker threads, each owning one `state` built by `init`, and
+/// returns the results **in item order** regardless of which worker
+/// produced them.
 ///
 /// Items are claimed dynamically through a shared atomic cursor, so uneven
-/// per-item cost does not idle workers. With one effective thread the items
-/// are processed inline with no thread machinery at all.
+/// per-item cost does not idle workers. With one thread the items run
+/// inline on `inline` (when given, e.g. a state already warmed by the
+/// caller) with no thread machinery at all. `cancel` is checked before each
+/// claim, and a worker also stops once `f` returns `None` (an item it
+/// abandoned mid-way); unstarted items keep `None` slots. Items in flight on
+/// other workers run to completion, so callers wanting a deterministic
+/// prefix truncate at the first gap.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f`.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_cancellable(items, threads, None, |_, i, t| f(i, t))
-        .into_iter()
-        .map(|r| r.expect("every item processed"))
-        .collect()
-}
-
-/// Worker-attributed, cancellation-aware fan-out.
-///
-/// Like [`par_map`], but `f` additionally receives the id of the worker that
-/// claimed the item (always `0` inline), and an optional [`CancelToken`] is
-/// checked before each claim: once cancelled, no further items are started
-/// and their result slots stay `None`. Items already in flight run to
-/// completion, so the returned vector may have `Some` entries after the first
-/// `None` — callers wanting a deterministic prefix should truncate at the
-/// first gap.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_map_cancellable<T, R, F>(
-    items: &[T],
+/// Propagates panics from `init` and `f`.
+pub(crate) fn run_items<S, R>(
+    items: usize,
     threads: usize,
     cancel: Option<&CancelToken>,
-    f: F,
+    inline: Option<S>,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, usize) -> Option<R> + Sync,
 ) -> Vec<Option<R>>
 where
-    T: Sync,
     R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
 {
-    let threads = effective_threads(threads, items.len());
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
+    let mut results: Vec<Option<R>> = Vec::with_capacity(items);
+    results.resize_with(items, || None);
     if threads <= 1 {
-        for (i, t) in items.iter().enumerate() {
+        let mut state = inline.unwrap_or_else(&init);
+        for (i, slot) in results.iter_mut().enumerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 break;
             }
-            results[i] = Some(f(0, i, t));
+            *slot = f(&mut state, 0, i);
+            if slot.is_none() {
+                break;
+            }
         }
         return results;
     }
@@ -93,26 +77,26 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
-                let cursor = &cursor;
-                let f = &f;
+                let (cursor, init, f) = (&cursor, &init, &f);
                 scope.spawn(move || {
+                    let mut state = init();
                     let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
+                    while !cancel.is_some_and(CancelToken::is_cancelled) {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
+                        if i >= items {
                             break;
                         }
-                        local.push((i, f(worker, i, &items[i])));
+                        match f(&mut state, worker, i) {
+                            Some(r) => local.push((i, r)),
+                            None => break,
+                        }
                     }
                     local
                 })
             })
             .collect();
         for h in handles {
-            for (i, r) in h.join().expect("worker panicked") {
+            for (i, r) in h.join().expect("campaign worker panicked") {
                 results[i] = Some(r);
             }
         }
@@ -125,19 +109,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_item_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = par_map(&items, 4, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
+    fn preserves_item_order_with_per_worker_state() {
+        let out = run_items(
+            100,
+            4,
+            None,
+            None,
+            || 0usize,
+            |seen, _, i| {
+                *seen += 1;
+                Some(i * 2)
+            },
+        );
+        let out: Vec<usize> = out.into_iter().map(Option::unwrap).collect();
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn single_thread_fallback() {
-        let items = [1, 2, 3];
-        assert_eq!(par_map(&items, 1, |_, &x| x + 1), vec![2, 3, 4]);
+    fn inline_path_uses_the_given_state() {
+        let out = run_items(
+            3,
+            1,
+            None,
+            Some(10),
+            || 0,
+            |s, w, i| {
+                assert_eq!(w, 0);
+                *s += 1;
+                Some(*s + i)
+            },
+        );
+        assert_eq!(out, vec![Some(11), Some(13), Some(15)]);
     }
 
     #[test]
@@ -148,18 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_leaves_tail_unprocessed() {
-        let items: Vec<usize> = (0..50).collect();
+    fn cancellation_and_abandoned_items_leave_the_tail_unprocessed() {
         let token = CancelToken::new();
         token.cancel();
-        let out = par_map_cancellable(&items, 1, Some(&token), |_, _, &x| x);
+        let out = run_items(50, 1, Some(&token), None, || (), |(), _, i| Some(i));
         assert!(out.iter().all(Option::is_none));
-        let live = CancelToken::new();
-        let out = par_map_cancellable(&items, 1, Some(&live), |w, i, &x| {
-            assert_eq!(w, 0);
-            assert_eq!(i, x);
-            x
-        });
-        assert!(out.iter().all(Option::is_some));
+        let out = run_items(50, 1, None, None, || (), |(), _, i| (i < 5).then_some(i));
+        assert_eq!(out.iter().filter(|r| r.is_some()).count(), 5);
+        assert!(out[5..].iter().all(Option::is_none));
     }
 }

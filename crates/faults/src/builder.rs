@@ -23,9 +23,11 @@
 
 use crate::campaign::{try_run_scalar, CampaignResult};
 use crate::{enumerate_faults, Fault};
-use scal_engine::{try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode};
+use scal_engine::{
+    observe, try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode,
+};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignObserver, CancelToken, CoverageObserver, MultiObserver};
+use scal_obs::{CampaignObserver, CancelToken, CoverageObserver};
 
 /// Which simulation backend a [`Campaign`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,10 +128,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// Evaluation word width in 64-bit sub-words (`1`, `4` or `8`); `0`
-    /// (the default) resolves through the `SCAL_WORD_WIDTH` environment
-    /// variable and then CPU-feature detection. Shorthand for the
-    /// corresponding [`EngineConfig`] field; all widths are bit-identical
-    /// in every report. The scalar backend ignores this knob.
+    /// (the default) picks the width by CPU-feature detection. Shorthand
+    /// for the corresponding [`EngineConfig`] field; all widths are
+    /// bit-identical in every report. The scalar backend ignores this knob.
     #[must_use]
     pub fn word_width(mut self, width: usize) -> Self {
         self.config.word_width = width;
@@ -148,8 +149,7 @@ impl<'a> Campaign<'a> {
     }
 
     /// Forces compile-time fault collapsing on or off (see
-    /// [`EngineConfig::fault_collapse`]; the default resolves through the
-    /// `SCAL_FAULT_COLLAPSE` environment variable and is otherwise on).
+    /// [`EngineConfig::fault_collapse`]; the default is on).
     /// Only class representatives are simulated; verdicts are expanded back
     /// over every original fault at merge time, so reports and coverage
     /// maps stay bit-identical. The scalar backend ignores this knob.
@@ -206,17 +206,9 @@ impl<'a> Campaign<'a> {
             Some(f) => f,
             None => enumerate_faults(self.circuit),
         };
-        // Fan out to the plain observer and/or the coverage map. An empty
-        // fan-out reports enabled() == false, preserving the no-observer
-        // fast path.
-        let mut fan = MultiObserver::new();
-        if let Some(o) = self.observer {
-            fan.push(o);
-        }
-        if let Some(cov) = self.coverage {
-            cov.set_labels(faults.iter().map(|f| f.describe(self.circuit)).collect());
-            fan.push(cov);
-        }
+        let fan = observe(self.observer, self.coverage, || {
+            faults.iter().map(|f| f.describe(self.circuit)).collect()
+        });
         let observer: &dyn CampaignObserver = &fan;
         match self.backend {
             Backend::Scalar => {

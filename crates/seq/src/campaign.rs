@@ -13,37 +13,33 @@
 //! and honors a [`CancelToken`], returning the completed fault-ordered
 //! prefix on cancellation.
 //!
-//! The default backend ([`SeqBackend::Packed`]) first collapses the fault
-//! list into structural-equivalence classes ([`collapse_overrides`], default
-//! on; see [`Campaign::fault_collapse`]) so only class representatives are
-//! simulated, then packs up to `63 × W` representatives
-//! into the lanes of one wide evaluation word of `W` 64-bit sub-words (`W ∈
-//! {1, 4, 8}`, chosen by [`Campaign::word_width`] or CPU-feature detection)
-//! — lane 0 of every sub-word replays the golden machine, every other lane
-//! one fault — and replays the driven sequence **once per
-//! batch** through [`WidePackedSeqSim`]: per-lane flip-flop state is carried
-//! across periods, every lane is classified against the golden lane with
-//! word-wide masks, and a classified lane *retires* (drops out of the
-//! batch's activity mask), so the batch early-exits once every lane is
-//! classified. [`SeqBackend::Scalar`] keeps the per-fault compiled path —
-//! cone-restricted replay ([`EvalMode::Cone`]) against a cached
-//! [`GoldenTrace`] via [`ConeSim`], or whole-machine re-simulation
-//! ([`EvalMode::Full`]) — as the packed backend's differential oracle, and
-//! [`SeqBackend::Graph`] the original graph-walking driver. All backends
-//! produce bit-identical outcomes, `first_detected` words, and coverage
-//! records (the scalar cone path additionally annotates cone statistics).
+//! The default backend ([`SeqBackend::Packed`]) runs on the shared campaign
+//! driver ([`scal_engine::run_campaign`]), which collapses the fault list
+//! into structural-equivalence classes (default on; see
+//! [`Campaign::fault_collapse`]) so only class representatives are
+//! simulated. This module supplies the packed unit: up to `63 × W`
+//! representatives ride the lanes of one wide evaluation word of `W` 64-bit
+//! sub-words (`W ∈ {1, 4, 8}`, chosen by [`Campaign::word_width`] or
+//! CPU-feature detection) — lane 0 of every sub-word replays the golden
+//! machine, every other lane one fault — and the driven sequence is
+//! replayed **once per batch** through [`WidePackedSeqSim`]: per-lane
+//! flip-flop state is carried across periods, every lane is classified
+//! against the golden lane with word-wide masks, and a classified lane
+//! *retires* (drops out of the batch's activity mask), so the batch
+//! early-exits once every lane is classified. [`SeqBackend::Graph`] keeps
+//! the original graph-walking driver as the packed backend's independent
+//! differential oracle. Both backends produce bit-identical outcomes,
+//! `first_detected` words, and coverage records.
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
-    collapse_overrides, effective_threads, par_map_cancellable, resolve_fault_collapse,
-    resolve_word_width, CompiledCircuit, CompiledSim, ConeSim, ConeSimStats, EngineError, EvalMode,
-    GoldenTrace, Toggle, WidePackedBatchPlan, WidePackedSeqSim, Word,
+    observe, resolve_word_width, run_campaign, CampaignKind, CampaignSpec, CompiledCircuit,
+    EngineError, Finish, Toggle, UnitCx, UnitOutcome, WidePackedBatchPlan, WidePackedSeqSim, Word,
+    Work,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
-use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, Phase,
-};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, Phase};
 use std::time::{Duration, Instant};
 
 /// Outcome of one fault under a driven sequence.
@@ -137,31 +133,19 @@ fn words_consumed(outcome: &SeqOutcome, total: usize) -> usize {
     }
 }
 
-/// Fills `p1`/`p2` with the two alternating periods of one information word
-/// (`X‖0`, `X̄‖1`), reusing the caller's scratch buffers.
-fn alt_periods(word: &[bool], p1: &mut Vec<bool>, p2: &mut Vec<bool>) {
-    p1.clear();
-    p1.extend_from_slice(word);
-    p1.push(false); // φ = 0
-    p2.clear();
-    p2.extend(word.iter().map(|&b| !b));
-    p2.push(true); // φ = 1
-}
-
-/// Applies one information word over two alternating periods of a compiled
-/// simulator (`(X‖0, X̄‖1)`), mirroring [`AltSeqDriver::apply`]. `p1`/`p2`
-/// are caller-owned scratch buffers reused across words, so the scalar path
-/// allocates nothing per driven word beyond the returned output vectors.
-fn apply_compiled(
-    sim: &mut CompiledSim<'_>,
-    word: &[bool],
-    p1: &mut Vec<bool>,
-    p2: &mut Vec<bool>,
-) -> (Vec<bool>, Vec<bool>) {
-    alt_periods(word, p1, p2);
-    let o1 = sim.step(p1);
-    let o2 = sim.step(p2);
-    (o1, o2)
+/// The `fault_finish` payload of one outcome over a `total`-word drive.
+fn seq_finish(outcome: &SeqOutcome, total: usize) -> Finish {
+    Finish {
+        detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
+        violations: usize::from(matches!(outcome, SeqOutcome::Violation { .. })),
+        observable: !matches!(outcome, SeqOutcome::Dormant),
+        dropped: false,
+        pairs: words_consumed(outcome, total) as u64,
+        first_detected: match outcome {
+            SeqOutcome::Detected { word } => u32::try_from(*word).ok(),
+            _ => None,
+        },
+    }
 }
 
 /// Which simulation backend a sequential [`Campaign`] runs on.
@@ -173,21 +157,17 @@ pub enum SeqBackend {
     /// classified.
     #[default]
     Packed,
-    /// Per-fault compiled replay — cone-restricted or full per
-    /// [`Campaign::eval_mode`] — the packed backend's differential oracle.
-    Scalar,
     /// The original graph-walking [`AltSeqDriver`] oracle, single-threaded.
     Graph,
 }
 
 impl SeqBackend {
-    /// Stable lowercase name (`"packed"`, `"scalar"`, `"graph"`), as used by
-    /// the `--seq-backend` bench flag.
+    /// Stable lowercase name (`"packed"`, `"graph"`), as used by the
+    /// `--seq-backend` bench flag.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SeqBackend::Packed => "packed",
-            SeqBackend::Scalar => "scalar",
             SeqBackend::Graph => "graph",
         }
     }
@@ -205,12 +185,9 @@ impl std::str::FromStr for SeqBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "packed" => Ok(SeqBackend::Packed),
-            "scalar" => Ok(SeqBackend::Scalar),
             "graph" => Ok(SeqBackend::Graph),
             other => Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "seq backend must be \"packed\", \"scalar\" or \"graph\", got {other:?}"
-                ),
+                reason: format!("seq backend must be \"packed\" or \"graph\", got {other:?}"),
             }),
         }
     }
@@ -226,7 +203,6 @@ pub struct Campaign<'a> {
     coverage: Option<&'a CoverageObserver>,
     cancel: Option<&'a CancelToken>,
     backend: SeqBackend,
-    eval_mode: EvalMode,
     word_width: usize,
     fault_collapse: Toggle,
 }
@@ -241,7 +217,6 @@ impl std::fmt::Debug for Campaign<'_> {
             .field("coverage", &self.coverage.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("backend", &self.backend)
-            .field("eval_mode", &self.eval_mode)
             .field("word_width", &self.word_width)
             .field("fault_collapse", &self.fault_collapse)
             .finish_non_exhaustive()
@@ -262,13 +237,12 @@ impl<'a> Campaign<'a> {
             coverage: None,
             cancel: None,
             backend: SeqBackend::default(),
-            eval_mode: EvalMode::default(),
             word_width: 0,
             fault_collapse: Toggle::default(),
         }
     }
 
-    /// Worker-thread count; `0` = auto. The scalar backend is always
+    /// Worker-thread count; `0` = auto. The graph backend is always
     /// single-threaded.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -294,8 +268,8 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Makes the run cancellable through `token`, checked at fault
-    /// boundaries (batch boundaries on the packed backend); the returned
+    /// Makes the run cancellable through `token`, checked at batch
+    /// boundaries (fault boundaries on the graph backend); the returned
     /// outcomes are then a fault-ordered prefix.
     #[must_use]
     pub fn cancel(mut self, token: &'a CancelToken) -> Self {
@@ -303,7 +277,7 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Selects the simulation backend; see [`SeqBackend`]. All backends
+    /// Selects the simulation backend; see [`SeqBackend`]. Both backends
     /// produce bit-identical outcomes.
     #[must_use]
     pub fn backend(mut self, backend: SeqBackend) -> Self {
@@ -312,30 +286,17 @@ impl<'a> Campaign<'a> {
     }
 
     /// Runs on the original graph-walking [`AltSeqDriver`] oracle instead of
-    /// a compiled backend — shorthand for `.backend(SeqBackend::Graph)`.
+    /// the packed backend — shorthand for `.backend(SeqBackend::Graph)`.
     #[must_use]
     pub fn scalar(self) -> Self {
         self.backend(SeqBackend::Graph)
     }
 
-    /// Selects the per-fault replay strategy on the [`SeqBackend::Scalar`]
-    /// backend: cone-restricted incremental replay ([`EvalMode::Cone`], the
-    /// default) or full re-simulation ([`EvalMode::Full`], the differential
-    /// oracle). Both produce identical outcomes; the packed and graph
-    /// backends ignore this knob.
-    #[must_use]
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
     /// Evaluation word width for the packed backend, in 64-bit sub-words
-    /// (`1`, `4` or `8`); `0` (the default) resolves through the
-    /// `SCAL_WORD_WIDTH` environment variable and then CPU-feature
+    /// (`1`, `4` or `8`); `0` (the default) picks the width by CPU-feature
     /// detection. At width `W` one packed batch carries `63 × W` faults, so
     /// wider words cut the number of driven-sequence replays; outcomes are
-    /// bit-identical at every width. The scalar and graph backends ignore
-    /// this knob.
+    /// bit-identical at every width. The graph backend ignores this knob.
     #[must_use]
     pub fn word_width(mut self, width: usize) -> Self {
         self.word_width = width;
@@ -344,691 +305,352 @@ impl<'a> Campaign<'a> {
 
     /// Switches compile-time fault collapsing on the packed backend: the
     /// fault list is partitioned into structural-equivalence classes
-    /// ([`collapse_overrides`]) and only class representatives ride the
-    /// lanes; each representative's outcome is expanded over its class at
-    /// merge time, so outcomes and coverage stay per-original-fault and
-    /// bit-identical to an uncollapsed run. Left untouched, collapsing
-    /// defaults to on (overridable through `SCAL_FAULT_COLLAPSE`). The
-    /// scalar and graph backends never collapse — they are the packed
-    /// backend's differential oracles.
+    /// ([`scal_engine::collapse_overrides`]) and only class representatives
+    /// ride the lanes; each representative's outcome is expanded over its
+    /// class at merge time, so outcomes and coverage stay per-original-fault
+    /// and bit-identical to an uncollapsed run. Left untouched, collapsing
+    /// is on. The graph backend never collapses — it is the packed
+    /// backend's differential oracle.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
         self
     }
 
-    /// Builds the observer fan-out (plain observer and/or coverage map); an
-    /// empty fan-out reports `enabled() == false`, preserving the fast path.
-    fn fan_out(&self, faults: &[Fault]) -> MultiObserver<'a> {
-        let mut fan = MultiObserver::new();
-        if let Some(o) = self.observer {
-            fan.push(o);
-        }
-        if let Some(cov) = self.coverage {
-            cov.set_labels(
-                faults
-                    .iter()
-                    .map(|f| f.describe(&self.machine.circuit))
-                    .collect(),
-            );
-            fan.push(cov);
-        }
-        fan
-    }
-
     /// Runs the campaign.
     ///
     /// # Errors
     ///
-    /// Propagates [`CompiledCircuit::try_compile`] errors on the compiled
-    /// backends (the graph oracle never compiles, so it only errors on
+    /// Propagates [`CompiledCircuit::try_compile`] errors on the packed
+    /// backend (the graph oracle never compiles, so it only errors on
     /// future validations), and `InvalidConfig` when
-    /// [`Campaign::word_width`] (or `SCAL_WORD_WIDTH`) names an unusable
-    /// width.
+    /// [`Campaign::word_width`] names an unusable width.
     ///
     /// # Panics
     ///
     /// Panics if a word's width mismatches the machine's external inputs.
     pub fn run(self) -> Result<SeqCampaign, EngineError> {
-        match self.backend {
-            SeqBackend::Packed => match resolve_word_width(self.word_width)? {
-                1 => self.run_packed::<1>(),
-                4 => self.run_packed::<4>(),
-                8 => self.run_packed::<8>(),
-                other => Err(EngineError::InvalidConfig {
-                    reason: format!("unsupported word width {other}"),
-                }),
-            },
-            SeqBackend::Scalar | SeqBackend::Graph => self.run_per_fault(),
+        let faults = self.machine.checkable_faults();
+        let fan = observe(self.observer, self.coverage, || {
+            faults
+                .iter()
+                .map(|f| f.describe(&self.machine.circuit))
+                .collect()
+        });
+        let (outcomes, cancelled) = match self.backend {
+            SeqBackend::Packed => {
+                let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
+                let spec = CampaignSpec {
+                    campaign: "seq",
+                    circuit: &self.machine.circuit,
+                    faults: &overrides,
+                    threads: self.threads,
+                    fault_collapse: self.fault_collapse,
+                    observer: &fan,
+                    cancel: self.cancel,
+                };
+                let (machine, words) = (self.machine, self.words);
+                let run = match resolve_word_width(self.word_width)? {
+                    1 => run_campaign(&spec, |c| Ok(SeqKind::<1>::plan(c, machine, words))),
+                    4 => run_campaign(&spec, |c| Ok(SeqKind::<4>::plan(c, machine, words))),
+                    8 => run_campaign(&spec, |c| Ok(SeqKind::<8>::plan(c, machine, words))),
+                    other => {
+                        return Err(EngineError::InvalidConfig {
+                            reason: format!("unsupported word width {other}"),
+                        })
+                    }
+                }?;
+                (run.verdicts, run.cancelled)
+            }
+            SeqBackend::Graph => run_graph(self.machine, self.words, &faults, &fan, self.cancel),
+        };
+        Ok(SeqCampaign {
+            outcomes: faults.into_iter().zip(outcomes).collect(),
+            cancelled,
+        })
+    }
+}
+
+/// The packed fault-per-lane backend at word width `W`, as the campaign
+/// driver sees it: one unit is one batch of up to `63 × W` faults riding
+/// the lanes of one wide word (lane 0 of every sub-word golden), and the
+/// driven sequence is replayed once per batch with lanes retiring as they
+/// are classified.
+struct SeqKind<'a, const W: usize> {
+    machine: &'a ScalMachine,
+    words: &'a [Vec<bool>],
+    compiled: CompiledCircuit,
+    /// Every batch's lane plan, built in the compile phase: mapping faults
+    /// onto lanes is planning, not evaluation.
+    plans: Vec<WidePackedBatchPlan<W>>,
+    /// The two alternating periods of every driven word, expanded by the
+    /// golden step and shared by every batch.
+    periods: Vec<(Vec<bool>, Vec<bool>)>,
+}
+
+impl<'a, const W: usize> SeqKind<'a, W> {
+    fn plan(c: scal_engine::Compiled, machine: &'a ScalMachine, words: &'a [Vec<bool>]) -> Self {
+        let plans = c
+            .sim_faults
+            .chunks(WidePackedSeqSim::<W>::FAULT_LANES)
+            .map(|batch| {
+                let refs: Vec<&[Override]> = batch.iter().map(std::slice::from_ref).collect();
+                WidePackedBatchPlan::build(&c.circuit, &refs)
+            })
+            .collect();
+        SeqKind {
+            machine,
+            words,
+            compiled: c.circuit,
+            plans,
+            periods: Vec::new(),
         }
     }
+}
 
-    /// The packed fault-per-lane path: up to `63 × W` faults per batch ride
-    /// the lanes of one wide word (lane 0 of every sub-word golden) and the
-    /// driven sequence is replayed once per batch, with lanes retiring as
-    /// they are classified.
-    fn run_packed<const W: usize>(self) -> Result<SeqCampaign, EngineError> {
-        let total_t = Instant::now();
-        let faults = self.machine.checkable_faults();
-        let fan = self.fan_out(&faults);
-        let observer: &dyn CampaignObserver = &fan;
-        let obs = observer.enabled();
+impl<const W: usize> CampaignKind for SeqKind<'_, W> {
+    type Worker = ();
+    type Verdict = SeqOutcome;
+    const PAIRS_PER_FAULT: bool = true;
 
-        // Compile phase: the schedule, the collapsed fault list, and every
-        // batch's lane plan — mapping faults onto lanes is planning, not
-        // evaluation, so the fault-sim phase below only sets up evaluator
-        // scratch and sweeps. The phase runs up front (timed; events emitted
-        // after the preamble) because the batch count reported in the
-        // preamble depends on how many representatives survive collapsing.
-        let compile_t = Instant::now();
-        let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-        let collapsed = if resolve_fault_collapse(self.fault_collapse)? {
-            let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
-            Some(collapse_overrides(&compiled, &overrides))
-        } else {
-            None
-        };
-        // The faults that actually ride lanes: class representatives under
-        // collapsing, the caller-visible list verbatim otherwise.
-        let sim_faults: Vec<Fault> = match &collapsed {
-            Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-            None => faults.clone(),
-        };
-        let sim_total = sim_faults.len();
-        let batches: Vec<&[Fault]> = sim_faults
-            .chunks(WidePackedSeqSim::<W>::FAULT_LANES)
-            .collect();
-        let n_batches = batches.len();
-        let plans: Vec<WidePackedBatchPlan<W>> = {
-            let mut overrides: Vec<[Override; 1]> =
-                Vec::with_capacity(WidePackedSeqSim::<W>::FAULT_LANES);
-            batches
-                .iter()
-                .map(|batch| {
-                    overrides.clear();
-                    overrides.extend(batch.iter().map(|f| [f.to_override()]));
-                    let refs: Vec<&[Override]> = overrides.iter().map(|o| o.as_slice()).collect();
-                    WidePackedBatchPlan::build(&compiled, &refs)
-                })
-                .collect()
-        };
-        let compile_micros = duration_micros(compile_t.elapsed());
+    fn unit_size(&self) -> usize {
+        WidePackedSeqSim::<W>::FAULT_LANES
+    }
 
-        if obs {
-            observer.on_event(&CampaignEvent::CampaignStart {
-                campaign: "seq",
-                faults: faults.len(),
-                inputs: self.machine.circuit.inputs().len(),
-                outputs: self.machine.circuit.outputs().len(),
-                threads: effective_threads(self.threads, n_batches),
-            });
-            observer.on_event(&CampaignEvent::LaneGeometry {
-                width: W,
-                fault_lanes: WidePackedSeqSim::<W>::FAULT_LANES,
-                pattern_lanes: 0,
-                packing: "seq",
-            });
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Compile,
-            });
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Compile,
-                micros: compile_micros,
-            });
-            if let Some(cl) = &collapsed {
-                observer.on_event(&CampaignEvent::Span {
-                    name: "collapse",
-                    parent: "compile",
-                    micros: cl.micros,
-                    count: 1,
-                    items: cl.num_faults() as u64,
-                });
-                observer.on_event(&CampaignEvent::FaultCollapse {
-                    faults: cl.num_faults(),
-                    representatives: cl.num_reps(),
-                    dominance_edges: cl.dominance_edges,
-                    micros: cl.micros,
-                });
-            }
-        }
+    fn header(&self) -> Vec<CampaignEvent> {
+        vec![CampaignEvent::LaneGeometry {
+            width: W,
+            fault_lanes: WidePackedSeqSim::<W>::FAULT_LANES,
+            pattern_lanes: 0,
+            packing: "seq",
+        }]
+    }
 
-        // Golden phase: the golden machine rides lane 0 of every batch, so
-        // nothing is simulated up front — each driven word is just expanded
-        // once into its two alternating periods, shared by every batch.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Golden,
-            });
-        }
-        let periods: Vec<(Vec<bool>, Vec<bool>)> = self
+    /// The golden machine rides lane 0 of every batch, so nothing is
+    /// simulated up front — each driven word is just expanded once into its
+    /// two alternating periods (`X‖0`, `X̄‖1`).
+    fn golden(&mut self) -> Result<(u64, Option<()>), EngineError> {
+        self.periods = self
             .words
             .iter()
             .map(|w| {
-                let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                alt_periods(w, &mut p1, &mut p2);
+                let mut p1 = w.clone();
+                p1.push(false); // φ = 0
+                let mut p2: Vec<bool> = w.iter().map(|&b| !b).collect();
+                p2.push(true); // φ = 1
                 (p1, p2)
             })
             .collect();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Golden,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
+        Ok((0, None))
+    }
 
-        // Fault simulation: one packed replay per batch, cancellable at
-        // batch boundaries.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::FaultSim,
-            });
-        }
+    fn worker(&self) {}
+
+    fn simulate(&self, (): &mut (), cx: &UnitCx<'_>) -> Option<UnitOutcome<SeqOutcome>> {
         let mon = self.machine.monitored();
         let code_pair = self.machine.code_pair;
-        let n_outputs = self.machine.circuit.outputs().len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let run_batch = |worker: usize,
-                         batch: &[Fault],
-                         plan: &WidePackedBatchPlan<W>|
-         -> (usize, Vec<SeqOutcome>, u64, usize) {
-            let mut sim = WidePackedSeqSim::from_plan(&compiled, plan);
-            let mut outcomes = vec![SeqOutcome::Dormant; batch.len()];
-            // One activity mask per sub-word; a classified lane retires
-            // from its sub-word's mask.
-            let mut active: Vec<u64> = (0..W).map(|s| sim.sub_lane_mask(s)).collect();
-            let mut words_run = 0u64;
-            let mut o1 = vec![Word::<W>::ZERO; n_outputs];
-            for (i, (p1, p2)) in periods.iter().enumerate() {
-                sim.step(p1);
-                for (k, slot) in o1.iter_mut().enumerate() {
-                    *slot = sim.output_wide(k);
-                }
-                sim.step(p2);
-                words_run = i as u64 + 1;
-                // A lane manifests at the first word where any monitored
-                // line deviates from its sub-word's golden lane; the flag
-                // masks mirror classify_trace lane-wise.
-                let mut wrong = Word::<W>::ZERO;
-                let mut nonalt = Word::<W>::ZERO;
-                for k in mon.clone() {
-                    let (o1k, o2k) = (o1[k], sim.output_wide(k));
-                    wrong |= (o1k ^ o1k.golden_splat()) | (o2k ^ o2k.golden_splat());
-                    nonalt |= !(o1k ^ o2k);
-                }
-                let code_bad = code_pair.map_or(Word::ZERO, |(f, g)| {
-                    !(o1[f] ^ o1[g]) | !(sim.output_wide(f) ^ sim.output_wide(g))
-                });
-                let flagged = nonalt | code_bad;
-                let mut live = false;
-                for (s, act) in active.iter_mut().enumerate() {
-                    let newly = wrong.sub(s) & *act;
-                    if newly != 0 {
-                        let fl = flagged.sub(s);
-                        for l in 0..63 {
-                            let bit = 1u64 << (l + 1);
-                            if newly & bit != 0 {
-                                outcomes[s * 63 + l] = if fl & bit != 0 {
-                                    SeqOutcome::Detected { word: i }
-                                } else {
-                                    SeqOutcome::Violation { word: i }
-                                };
-                            }
+        let mut sim = WidePackedSeqSim::from_plan(&self.compiled, &self.plans[cx.unit]);
+        let mut outcomes = vec![SeqOutcome::Dormant; cx.faults.len()];
+        // One activity mask per sub-word; a classified lane retires from
+        // its sub-word's mask.
+        let mut active: Vec<u64> = (0..W).map(|s| sim.sub_lane_mask(s)).collect();
+        let mut words_run = 0u64;
+        let mut o1 = vec![Word::<W>::ZERO; self.compiled.num_outputs()];
+        for (i, (p1, p2)) in self.periods.iter().enumerate() {
+            sim.step(p1);
+            for (k, slot) in o1.iter_mut().enumerate() {
+                *slot = sim.output_wide(k);
+            }
+            sim.step(p2);
+            words_run = i as u64 + 1;
+            // A lane manifests at the first word where any monitored line
+            // deviates from its sub-word's golden lane; the flag masks
+            // mirror classify_trace lane-wise.
+            let mut wrong = Word::<W>::ZERO;
+            let mut nonalt = Word::<W>::ZERO;
+            for k in mon.clone() {
+                let (o1k, o2k) = (o1[k], sim.output_wide(k));
+                wrong |= (o1k ^ o1k.golden_splat()) | (o2k ^ o2k.golden_splat());
+                nonalt |= !(o1k ^ o2k);
+            }
+            let code_bad = code_pair.map_or(Word::ZERO, |(f, g)| {
+                !(o1[f] ^ o1[g]) | !(sim.output_wide(f) ^ sim.output_wide(g))
+            });
+            let flagged = nonalt | code_bad;
+            let mut live = false;
+            for (s, act) in active.iter_mut().enumerate() {
+                let newly = wrong.sub(s) & *act;
+                if newly != 0 {
+                    let fl = flagged.sub(s);
+                    for l in 0..63 {
+                        let bit = 1u64 << (l + 1);
+                        if newly & bit != 0 {
+                            outcomes[s * 63 + l] = if fl & bit != 0 {
+                                SeqOutcome::Detected { word: i }
+                            } else {
+                                SeqOutcome::Violation { word: i }
+                            };
                         }
-                        *act &= !newly;
                     }
-                    live |= *act != 0;
+                    *act &= !newly;
                 }
-                if !live {
-                    break;
-                }
+                live |= *act != 0;
             }
-            if obs {
-                // Progress counts simulated lanes: representatives under
-                // collapsing, every fault otherwise.
-                observer.on_event(&CampaignEvent::Progress {
-                    done: done.fetch_add(batch.len(), std::sync::atomic::Ordering::Relaxed)
-                        + batch.len(),
-                    total: sim_total,
-                });
+            if !live {
+                break;
             }
-            let retired = outcomes
-                .iter()
-                .filter(|o| !matches!(o, SeqOutcome::Dormant))
-                .count();
-            (worker, outcomes, words_run, retired)
+        }
+        let unit_events = if cx.record {
+            vec![CampaignEvent::LaneBatch {
+                batch: cx.unit,
+                worker: cx.worker,
+                lanes: outcomes.len(),
+                words: words_run,
+                retired: outcomes
+                    .iter()
+                    .filter(|o| !matches!(o, SeqOutcome::Dormant))
+                    .count(),
+            }]
+        } else {
+            Vec::new()
         };
-        let items: Vec<(&[Fault], &WidePackedBatchPlan<W>)> =
-            batches.iter().copied().zip(plans.iter()).collect();
-        let slots = par_map_cancellable(
-            &items,
-            self.threads,
-            self.cancel,
-            |worker, _, (batch, plan)| run_batch(worker, batch, plan),
-        );
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::FaultSim,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
-        drop(items);
-        drop(batches);
-
-        // Merge: deterministic fault-ordered prefix (whole batches) with
-        // event replay — one LaneBatch per batch, then its faults' events.
-        let merge_t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Merge,
-            });
-        }
-        let completed_batches = slots.iter().take_while(|s| s.is_some()).count();
-        let n_faults = faults.len();
-        let mut outcomes = Vec::new();
-        let mut pairs_total = 0u64;
-        let mut words_total = 0u64;
-        match &collapsed {
-            None => {
-                let mut fault_iter = faults.into_iter();
-                let mut fault_idx = 0usize;
-                for (b, slot) in slots.into_iter().take(completed_batches).enumerate() {
-                    let (worker, batch_outcomes, words_run, retired) =
-                        slot.expect("prefix is complete");
-                    words_total += words_run;
-                    if obs {
-                        observer.on_event(&CampaignEvent::LaneBatch {
-                            batch: b,
-                            worker,
-                            lanes: batch_outcomes.len(),
-                            words: words_run,
-                            retired,
-                        });
-                    }
-                    for outcome in batch_outcomes {
-                        let fault = fault_iter.next().expect("one fault per packed lane");
-                        let pairs = words_consumed(&outcome, self.words.len()) as u64;
-                        pairs_total += pairs;
-                        if obs {
-                            observer.on_event(&CampaignEvent::FaultStart {
-                                fault: fault_idx,
-                                worker,
-                            });
-                            observer.on_event(&CampaignEvent::FaultFinish {
-                                fault: fault_idx,
-                                worker,
-                                detected: usize::from(matches!(
-                                    outcome,
-                                    SeqOutcome::Detected { .. }
-                                )),
-                                violations: usize::from(matches!(
-                                    outcome,
-                                    SeqOutcome::Violation { .. }
-                                )),
-                                observable: !matches!(outcome, SeqOutcome::Dormant),
-                                dropped: false,
-                                first_detected: match outcome {
-                                    SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                                    _ => None,
-                                },
-                                pairs,
-                            });
-                        }
-                        outcomes.push((fault, outcome));
-                        fault_idx += 1;
-                    }
-                }
-            }
-            Some(cl) => {
-                // Expansion: lane batches replay first in batch order (they
-                // speak in representative lanes), then every completed
-                // original fault gets a clone of its representative's
-                // outcome under its own index — equivalent faults produce
-                // identical traces, so the expansion is exact. Because
-                // representatives are first-occurrence ordered, the
-                // answered originals form a contiguous prefix.
-                let completed_reps =
-                    (completed_batches * WidePackedSeqSim::<W>::FAULT_LANES).min(cl.num_reps());
-                let completed_originals = cl.completed_prefix(completed_reps);
-                let mut rep_outcomes: Vec<(SeqOutcome, usize)> = Vec::with_capacity(completed_reps);
-                for (b, slot) in slots.into_iter().take(completed_batches).enumerate() {
-                    let (worker, batch_outcomes, words_run, retired) =
-                        slot.expect("prefix is complete");
-                    words_total += words_run;
-                    if obs {
-                        observer.on_event(&CampaignEvent::LaneBatch {
-                            batch: b,
-                            worker,
-                            lanes: batch_outcomes.len(),
-                            words: words_run,
-                            retired,
-                        });
-                    }
-                    rep_outcomes.extend(batch_outcomes.into_iter().map(|o| (o, worker)));
-                }
-                outcomes.reserve(completed_originals);
-                for (o, fault) in faults.into_iter().enumerate().take(completed_originals) {
-                    let r = cl.rep_of[o] as usize;
-                    let (outcome, worker) = rep_outcomes[r].clone();
-                    let pairs = words_consumed(&outcome, self.words.len()) as u64;
-                    pairs_total += pairs;
-                    if obs {
-                        observer.on_event(&CampaignEvent::FaultStart { fault: o, worker });
-                        let rep_original = cl.reps[r] as usize;
-                        if rep_original != o {
-                            observer.on_event(&CampaignEvent::FaultClass {
-                                fault: o,
-                                representative: rep_original,
-                                size: cl.class_sizes[r] as usize,
-                            });
-                        }
-                        observer.on_event(&CampaignEvent::FaultFinish {
-                            fault: o,
-                            worker,
-                            detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
-                            violations: usize::from(matches!(
-                                outcome,
-                                SeqOutcome::Violation { .. }
-                            )),
-                            observable: !matches!(outcome, SeqOutcome::Dormant),
-                            dropped: false,
-                            first_detected: match outcome {
-                                SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                                _ => None,
-                            },
-                            pairs,
-                        });
-                    }
-                    outcomes.push((fault, outcome));
-                }
-            }
-        }
-        let cancelled = outcomes.len() < n_faults;
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Merge,
-                micros: duration_micros(merge_t.elapsed()),
-            });
-            if cancelled {
-                observer.on_event(&CampaignEvent::Cancelled {
-                    completed: outcomes.len(),
-                });
-            }
-            observer.on_event(&CampaignEvent::CampaignEnd {
-                faults: outcomes.len(),
-                dropped: 0,
-                pairs: pairs_total,
-                // Each batch replays `words_run` driven words of two clocked
-                // periods each; the golden machine rides lane 0, so it costs
-                // no extra pass over the schedule.
-                words: words_total * 2,
-                micros: duration_micros(total_t.elapsed()),
-                cancelled,
-            });
-        }
-        Ok(SeqCampaign {
-            outcomes,
-            cancelled,
+        let pairs = outcomes
+            .iter()
+            .map(|o| words_consumed(o, self.words.len()) as u64)
+            .sum();
+        Some(UnitOutcome {
+            verdicts: outcomes,
+            unit_events,
+            fault_events: Vec::new(),
+            // Each batch replays `words_run` driven words of two clocked
+            // periods each; the golden machine rides lane 0, so it costs no
+            // extra pass over the schedule.
+            work: Work {
+                pairs,
+                words: words_run * 2,
+                micros: 0,
+            },
         })
     }
 
-    /// The per-fault replay path: [`SeqBackend::Scalar`] (compiled, one
-    /// fault at a time, cone-restricted or full) and [`SeqBackend::Graph`]
-    /// (the original graph-walking driver).
-    fn run_per_fault(self) -> Result<SeqCampaign, EngineError> {
-        let total_t = Instant::now();
-        let faults = self.machine.checkable_faults();
-        let fan = self.fan_out(&faults);
-        let observer: &dyn CampaignObserver = &fan;
-        let obs = observer.enabled();
-        let compiled_backend = self.backend == SeqBackend::Scalar;
-        if obs {
-            observer.on_event(&CampaignEvent::CampaignStart {
-                campaign: if compiled_backend {
-                    "seq"
-                } else {
-                    "seq_scalar"
-                },
-                faults: faults.len(),
-                inputs: self.machine.circuit.inputs().len(),
-                outputs: self.machine.circuit.outputs().len(),
-                threads: if compiled_backend {
-                    effective_threads(self.threads, faults.len())
-                } else {
-                    1
-                },
-            });
-            if compiled_backend {
-                observer.on_event(&CampaignEvent::EvalMode {
-                    mode: self.eval_mode.name(),
-                });
-            }
-        }
-
-        // Compile phase (compiled backend only).
-        let compiled = if compiled_backend {
-            let t = Instant::now();
-            if obs {
-                observer.on_event(&CampaignEvent::PhaseStart {
-                    phase: Phase::Compile,
-                });
-            }
-            let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-            if obs {
-                observer.on_event(&CampaignEvent::PhaseEnd {
-                    phase: Phase::Compile,
-                    micros: duration_micros(t.elapsed()),
-                });
-            }
-            Some(compiled)
-        } else {
-            None
-        };
-
-        // Golden trace.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Golden,
-            });
-        }
-        // In cone mode the golden run is captured once with every slot value
-        // cached; faulty replays seed their cones from it.
-        let cone_trace: Option<GoldenTrace> = match (&compiled, self.eval_mode) {
-            (Some(compiled), EvalMode::Cone) => {
-                let steps: Vec<Vec<bool>> = self
-                    .words
-                    .iter()
-                    .flat_map(|w| {
-                        let mut p1 = w.clone();
-                        p1.push(false); // φ = 0
-                        let mut p2: Vec<bool> = w.iter().map(|&b| !b).collect();
-                        p2.push(true); // φ = 1
-                        [p1, p2]
-                    })
-                    .collect();
-                Some(GoldenTrace::capture(compiled, &steps))
-            }
-            _ => None,
-        };
-        let golden: Vec<(Vec<bool>, Vec<bool>)> = match (&cone_trace, &compiled) {
-            (Some(trace), _) => (0..self.words.len())
-                .map(|i| {
-                    (
-                        trace.outputs(2 * i).to_vec(),
-                        trace.outputs(2 * i + 1).to_vec(),
-                    )
-                })
-                .collect(),
-            (None, Some(compiled)) => {
-                let mut sim = CompiledSim::new(compiled);
-                let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                self.words
-                    .iter()
-                    .map(|w| apply_compiled(&mut sim, w, &mut p1, &mut p2))
-                    .collect()
-            }
-            (None, None) => {
-                let mut drv = AltSeqDriver::new(self.machine);
-                self.words.iter().map(|w| drv.apply(w)).collect()
-            }
-        };
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Golden,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
-
-        // Fault simulation, cancellable at fault boundaries. Each worker
-        // reports which worker id simulated the fault so the merge replay
-        // stays worker-attributed.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::FaultSim,
-            });
-        }
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let sim_one = |worker: usize, fault: &Fault| -> (usize, SeqOutcome, Option<ConeSimStats>) {
-            let (outcome, cone_stats) = match (&compiled, &cone_trace) {
-                (Some(compiled), Some(trace)) => {
-                    // Cone replay: only the fault's fanout cone is
-                    // re-evaluated per step, seeded from the cached golden
-                    // slots of the trace.
-                    let mut sim = ConeSim::new(compiled, &[fault.to_override()]);
-                    let outcome = classify_trace(
-                        self.machine,
-                        &golden,
-                        |_w| {
-                            let o1 = sim.step(trace);
-                            let o2 = sim.step(trace);
-                            (o1, o2)
-                        },
-                        self.words,
-                    );
-                    let stats = sim.stats();
-                    (outcome, Some(stats))
-                }
-                (Some(compiled), None) => {
-                    let mut sim = CompiledSim::new(compiled);
-                    sim.attach(&[fault.to_override()]);
-                    let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                    let outcome = classify_trace(
-                        self.machine,
-                        &golden,
-                        |w| apply_compiled(&mut sim, w, &mut p1, &mut p2),
-                        self.words,
-                    );
-                    (outcome, None)
-                }
-                (None, _) => {
-                    let mut drv = AltSeqDriver::new(self.machine);
-                    drv.attach(fault.to_override());
-                    let outcome =
-                        classify_trace(self.machine, &golden, |w| drv.apply(w), self.words);
-                    (outcome, None)
-                }
-            };
-            if obs {
-                observer.on_event(&CampaignEvent::Progress {
-                    done: done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1,
-                    total: faults.len(),
-                });
-            }
-            (worker, outcome, cone_stats)
-        };
-        let slots: Vec<Option<(usize, SeqOutcome, Option<ConeSimStats>)>> = if compiled_backend {
-            par_map_cancellable(&faults, self.threads, self.cancel, |worker, _, fault| {
-                sim_one(worker, fault)
-            })
-        } else {
-            faults
-                .iter()
-                .map(|fault| {
-                    if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                        None
-                    } else {
-                        Some(sim_one(0, fault))
-                    }
-                })
-                .collect()
-        };
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::FaultSim,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
-
-        // Merge: deterministic fault-ordered prefix with event replay.
-        let merge_t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Merge,
-            });
-        }
-        let completed = slots.iter().take_while(|s| s.is_some()).count();
-        let cancelled = completed < faults.len();
-        let mut outcomes = Vec::with_capacity(completed);
-        let mut pairs_total = 0u64;
-        for (i, (fault, slot)) in faults.into_iter().zip(slots).take(completed).enumerate() {
-            let (worker, outcome, cone_stats) = slot.expect("prefix is complete");
-            let pairs = words_consumed(&outcome, self.words.len()) as u64;
-            pairs_total += pairs;
-            if obs {
-                observer.on_event(&CampaignEvent::FaultStart { fault: i, worker });
-                if let Some(s) = &cone_stats {
-                    observer.on_event(&CampaignEvent::ConeStats {
-                        fault: i,
-                        worker,
-                        cone_ops: s.cone_ops,
-                        ops_evaluated: s.ops_evaluated,
-                        ops_skipped: s.ops_skipped,
-                        frontier_died_at_level: s.frontier_died_at_level,
-                    });
-                }
-                observer.on_event(&CampaignEvent::FaultFinish {
-                    fault: i,
-                    worker,
-                    detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
-                    violations: usize::from(matches!(outcome, SeqOutcome::Violation { .. })),
-                    observable: !matches!(outcome, SeqOutcome::Dormant),
-                    dropped: false,
-                    first_detected: match outcome {
-                        SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                        _ => None,
-                    },
-                    pairs,
-                });
-            }
-            outcomes.push((fault, outcome));
-        }
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Merge,
-                micros: duration_micros(merge_t.elapsed()),
-            });
-            if cancelled {
-                observer.on_event(&CampaignEvent::Cancelled { completed });
-            }
-            observer.on_event(&CampaignEvent::CampaignEnd {
-                faults: completed,
-                dropped: 0,
-                pairs: pairs_total,
-                // Each driven pair is two clocked evaluation steps; the
-                // golden trace consumed the full sequence once.
-                words: (pairs_total + self.words.len() as u64) * 2,
-                micros: duration_micros(total_t.elapsed()),
-                cancelled,
-            });
-        }
-        Ok(SeqCampaign {
-            outcomes,
-            cancelled,
-        })
+    fn finish(&self, outcome: &SeqOutcome) -> Finish {
+        seq_finish(outcome, self.words.len())
     }
+}
+
+/// The graph-walking oracle: one fault at a time through [`AltSeqDriver`],
+/// single-threaded, with its own plain loop so a driver bug still shows up
+/// as a differential failure. Cancellable at fault boundaries.
+fn run_graph(
+    machine: &ScalMachine,
+    words: &[Vec<bool>],
+    faults: &[Fault],
+    observer: &dyn CampaignObserver,
+    cancel: Option<&CancelToken>,
+) -> (Vec<SeqOutcome>, bool) {
+    let total_t = Instant::now();
+    let obs = observer.enabled();
+    if obs {
+        observer.on_event(&CampaignEvent::CampaignStart {
+            campaign: "seq_scalar",
+            faults: faults.len(),
+            inputs: machine.circuit.inputs().len(),
+            outputs: machine.circuit.outputs().len(),
+            threads: 1,
+        });
+    }
+
+    let t = Instant::now();
+    if obs {
+        observer.on_event(&CampaignEvent::PhaseStart {
+            phase: Phase::Golden,
+        });
+    }
+    let golden: Vec<(Vec<bool>, Vec<bool>)> = {
+        let mut drv = AltSeqDriver::new(machine);
+        words.iter().map(|w| drv.apply(w)).collect()
+    };
+    if obs {
+        observer.on_event(&CampaignEvent::PhaseEnd {
+            phase: Phase::Golden,
+            micros: duration_micros(t.elapsed()),
+        });
+    }
+
+    let t = Instant::now();
+    if obs {
+        observer.on_event(&CampaignEvent::PhaseStart {
+            phase: Phase::FaultSim,
+        });
+    }
+    let mut outcomes = Vec::with_capacity(faults.len());
+    for fault in faults {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            break;
+        }
+        let mut drv = AltSeqDriver::new(machine);
+        drv.attach(fault.to_override());
+        outcomes.push(classify_trace(machine, &golden, |w| drv.apply(w), words));
+        if obs {
+            observer.on_event(&CampaignEvent::Progress {
+                done: outcomes.len(),
+                total: faults.len(),
+            });
+        }
+    }
+    if obs {
+        observer.on_event(&CampaignEvent::PhaseEnd {
+            phase: Phase::FaultSim,
+            micros: duration_micros(t.elapsed()),
+        });
+    }
+
+    // Merge: fault-ordered event replay.
+    let completed = outcomes.len();
+    let cancelled = completed < faults.len();
+    if obs {
+        let merge_t = Instant::now();
+        observer.on_event(&CampaignEvent::PhaseStart {
+            phase: Phase::Merge,
+        });
+        let mut pairs_total = 0u64;
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let f = seq_finish(outcome, words.len());
+            pairs_total += f.pairs;
+            observer.on_event(&CampaignEvent::FaultStart {
+                fault: i,
+                worker: 0,
+            });
+            observer.on_event(&CampaignEvent::FaultFinish {
+                fault: i,
+                worker: 0,
+                detected: f.detected,
+                violations: f.violations,
+                observable: f.observable,
+                dropped: f.dropped,
+                first_detected: f.first_detected,
+                pairs: f.pairs,
+            });
+        }
+        observer.on_event(&CampaignEvent::PhaseEnd {
+            phase: Phase::Merge,
+            micros: duration_micros(merge_t.elapsed()),
+        });
+        if cancelled {
+            observer.on_event(&CampaignEvent::Cancelled { completed });
+        }
+        observer.on_event(&CampaignEvent::CampaignEnd {
+            faults: completed,
+            dropped: 0,
+            pairs: pairs_total,
+            // Each driven pair is two clocked evaluation steps; the golden
+            // trace consumed the full sequence once.
+            words: (pairs_total + words.len() as u64) * 2,
+            micros: duration_micros(total_t.elapsed()),
+            cancelled,
+        });
+    }
+    (outcomes, cancelled)
 }
 
 fn duration_micros(d: Duration) -> u64 {
@@ -1086,82 +708,16 @@ mod tests {
         let words = bit_words(&[0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]);
         for machine in [dual_ff_machine(&m), code_conversion_machine(&m)] {
             let packed = Campaign::new(&machine, &words).run().unwrap();
-            for backend in [SeqBackend::Scalar, SeqBackend::Graph] {
-                assert_eq!(
-                    packed,
-                    Campaign::new(&machine, &words)
-                        .backend(backend)
-                        .run()
-                        .unwrap(),
-                    "{} vs {backend}",
-                    machine.design
-                );
-            }
+            assert_eq!(
+                packed,
+                Campaign::new(&machine, &words)
+                    .backend(SeqBackend::Graph)
+                    .run()
+                    .unwrap(),
+                "{}",
+                machine.design
+            );
         }
-    }
-
-    #[test]
-    fn cone_and_full_eval_modes_agree() {
-        let m = kohavi_0101();
-        let words = bit_words(&[0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]);
-        for machine in [dual_ff_machine(&m), code_conversion_machine(&m)] {
-            let cone = Campaign::new(&machine, &words)
-                .backend(SeqBackend::Scalar)
-                .run()
-                .unwrap();
-            let full = Campaign::new(&machine, &words)
-                .backend(SeqBackend::Scalar)
-                .eval_mode(EvalMode::Full)
-                .run()
-                .unwrap();
-            assert_eq!(cone, full, "{}", machine.design);
-        }
-    }
-
-    #[test]
-    fn cone_mode_emits_mode_and_stats_events() {
-        let m = kohavi_0101();
-        let words = bit_words(&[0, 1, 0, 1]);
-        let machine = dual_ff_machine(&m);
-        let collect = CollectObserver::default();
-        let campaign = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
-            .threads(1)
-            .observer(&collect)
-            .run()
-            .unwrap();
-        let events = collect.events();
-        assert!(matches!(
-            events.get(1),
-            Some(CampaignEvent::EvalMode { mode: "cone" })
-        ));
-        let stat_faults: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e {
-                CampaignEvent::ConeStats { fault, .. } => Some(*fault),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            stat_faults,
-            (0..campaign.outcomes.len()).collect::<Vec<_>>()
-        );
-
-        let collect2 = CollectObserver::default();
-        let _ = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
-            .eval_mode(EvalMode::Full)
-            .observer(&collect2)
-            .run()
-            .unwrap();
-        let events2 = collect2.events();
-        assert!(matches!(
-            events2.get(1),
-            Some(CampaignEvent::EvalMode { mode: "full" })
-        ));
-        assert!(!events2
-            .iter()
-            .any(|e| matches!(e, CampaignEvent::ConeStats { .. })));
     }
 
     #[test]
@@ -1182,7 +738,7 @@ mod tests {
         let machine = dual_ff_machine(&m);
         let cov = scal_obs::CoverageObserver::new();
         let campaign = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
+            .backend(SeqBackend::Graph)
             .coverage(&cov)
             .run()
             .unwrap();
@@ -1197,30 +753,25 @@ mod tests {
                 _ => assert_eq!(record.first_detected, None),
             }
         }
-        // Cone mode annotates every record; the graph oracle and the packed
-        // backend yield the identical verdicts modulo annotations (cone
-        // stats here, class membership on the collapsed packed backend).
-        assert!(map.records.iter().all(|r| r.cone_ops.is_some()));
+        // The packed backend yields the identical verdicts modulo the class
+        // membership annotations of collapsing.
         let stripped: Vec<_> = map
             .records
             .iter()
             .map(scal_obs::FaultRecord::without_annotations)
             .collect();
-        for backend in [SeqBackend::Packed, SeqBackend::Graph] {
-            let cov2 = scal_obs::CoverageObserver::new();
-            let _ = Campaign::new(&machine, &words)
-                .backend(backend)
-                .coverage(&cov2)
-                .run()
-                .unwrap();
-            let map2 = cov2.latest().expect("coverage map");
-            let stripped2: Vec<_> = map2
-                .records
-                .iter()
-                .map(scal_obs::FaultRecord::without_annotations)
-                .collect();
-            assert_eq!(stripped2, stripped, "{backend}");
-        }
+        let cov2 = scal_obs::CoverageObserver::new();
+        let _ = Campaign::new(&machine, &words)
+            .coverage(&cov2)
+            .run()
+            .unwrap();
+        let map2 = cov2.latest().expect("coverage map");
+        let stripped2: Vec<_> = map2
+            .records
+            .iter()
+            .map(scal_obs::FaultRecord::without_annotations)
+            .collect();
+        assert_eq!(stripped2, stripped);
     }
 
     #[test]

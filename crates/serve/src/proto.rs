@@ -110,7 +110,8 @@ pub enum JobKind {
         words: Vec<Vec<bool>>,
         /// Simulation backend.
         backend: SeqBackend,
-        /// Per-fault replay strategy (scalar backend only).
+        /// Parsed and echoed for wire compatibility, but ignored: neither
+        /// sequential backend has a full/cone switch.
         eval_mode: EvalMode,
     },
     /// A datapath campaign over one CPU unit's workload suite.
@@ -151,9 +152,8 @@ pub struct JobSpec {
     pub threads: usize,
     /// Stream per-event frames (`false` = result frame only).
     pub stream: bool,
-    /// Compile-time fault collapsing (`None` = backend default: on, or
-    /// whatever `SCAL_FAULT_COLLAPSE` says in the server's environment).
-    /// Honored by every kind; the seq scalar/graph oracle backends ignore
+    /// Compile-time fault collapsing (`None` = backend default: on).
+    /// Honored by every kind; the seq graph oracle backend ignores
     /// it. Omitted from the wire when `None`, so v1 request lines are
     /// byte-identical to pre-collapse builds.
     pub fault_collapse: Option<bool>,
@@ -926,7 +926,7 @@ mod tests {
             kind: JobKind::Seq {
                 machine: machine.clone(),
                 words: words.clone(),
-                backend: SeqBackend::Scalar,
+                backend: SeqBackend::Graph,
                 eval_mode: EvalMode::Cone,
             },
             priority: DEFAULT_PRIORITY,
@@ -952,7 +952,7 @@ mod tests {
             JobKind::Seq {
                 machine: m,
                 words: w,
-                backend: SeqBackend::Scalar,
+                backend: SeqBackend::Graph,
                 ..
             } => {
                 scal_netlist::assert_circuit_eq(&m.circuit, &machine.circuit);

@@ -6,19 +6,21 @@
 //! *detected* (an alternation check fired), *dormant* (the workload never
 //! sensitized it — the answer is still correct), or *undetected-wrong* (the
 //! dangerous case the paper's Theorem 3.1 is about). The [`Campaign`]
-//! builder mirrors `scal_faults::Campaign`: it forwards every step to a
-//! [`CampaignObserver`] and honours a [`CancelToken`] at fault boundaries,
-//! returning a deterministic fault-ordered prefix when cancelled.
+//! builder mirrors `scal_faults::Campaign` and runs on the shared campaign
+//! driver ([`scal_engine::run_campaign`]): it forwards every step to a
+//! [`CampaignObserver`], collapses the unit's fault list, and honours a
+//! [`CancelToken`] at fault boundaries, returning a deterministic
+//! fault-ordered prefix when cancelled.
 
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
-use scal_engine::{collapse_overrides, resolve_fault_collapse, CompiledCircuit, EvalMode, Toggle};
-use scal_faults::{enumerate_faults, Fault};
-use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, NullObserver,
-    Phase,
+use scal_engine::{
+    observe, run_campaign, CampaignKind, CampaignSpec, EngineError, Finish, Toggle, UnitCx,
+    UnitOutcome, Work,
 };
-use std::time::Instant;
+use scal_faults::{enumerate_faults, Fault};
+use scal_netlist::Override;
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, NullObserver};
 
 /// Which gate-level datapath unit the campaign injects faults into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,8 +151,7 @@ impl<'a> Campaign<'a> {
     /// structurally equivalent stuck-at faults produce identical faulted
     /// unit behaviour on every workload, so only class representatives run
     /// the workload suite and each representative's verdict is expanded
-    /// over its class in fault order. Left untouched, collapsing defaults
-    /// to on (overridable through `SCAL_FAULT_COLLAPSE`).
+    /// over its class in fault order. Left untouched, collapsing is on.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -194,24 +195,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Accepted for builder parity with `scal_faults::Campaign` and
-    /// `scal_seq::Campaign`, but currently a no-op: CPU workloads run on the
-    /// interpreted datapath, which has no compiled cone path. Fault runs
-    /// behave as [`EvalMode::Full`] regardless of `mode`.
-    #[must_use]
-    pub fn eval_mode(self, _mode: EvalMode) -> Self {
-        self
-    }
-
-    /// Accepted for builder parity with [`scal_seq::Campaign::backend`], but
-    /// currently a no-op: the interpreted datapath has no packed
-    /// fault-per-lane path, so fault runs behave as
-    /// [`scal_seq::SeqBackend::Graph`] regardless of `backend`.
-    #[must_use]
-    pub fn seq_backend(self, _backend: scal_seq::SeqBackend) -> Self {
-        self
-    }
-
     /// Runs the campaign.
     ///
     /// # Panics
@@ -220,11 +203,9 @@ impl<'a> Campaign<'a> {
     /// that is a broken workload, not a campaign outcome.
     #[must_use]
     pub fn run(self) -> CpuCampaign {
-        // Compile phase: extracting the unit netlist from the datapath and
-        // enumerating its fault sites is this campaign's whole compile story
-        // — the interpreted datapath carries no compiled schedule. Timed
-        // here; the phase events are emitted after the preamble below.
-        let t_compile = Instant::now();
+        // Extracting the unit netlist from the datapath and enumerating its
+        // fault sites; the driver compiles it only to collapse the faults —
+        // the interpreted datapath carries no compiled schedule.
         let unit_circuit = {
             let cpu = Cpu::new(CpuMode::Normal);
             match self.unit {
@@ -233,83 +214,105 @@ impl<'a> Campaign<'a> {
             }
         };
         let faults = enumerate_faults(&unit_circuit);
-        // Fault collapsing: structurally equivalent stuck-at faults on the
-        // unit netlist corrupt the interpreted datapath identically on every
-        // workload, so only class representatives run the workload suite.
-        // The unit netlist is combinational and engine-compatible; if it
-        // ever were not, the campaign falls back to the uncollapsed sweep.
-        let collapsed = resolve_fault_collapse(self.fault_collapse)
-            .expect("SCAL_FAULT_COLLAPSE must be one of 1/on/true/0/off/false")
-            .then(|| {
-                let compiled = CompiledCircuit::try_compile(&unit_circuit).ok()?;
-                let overrides: Vec<_> = faults.iter().map(|f| f.to_override()).collect();
-                Some(collapse_overrides(&compiled, &overrides))
-            })
-            .flatten();
-        let sim_faults: Vec<Fault> = match &collapsed {
-            Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-            None => faults.clone(),
-        };
-        let compile_micros = duration_micros(t_compile.elapsed());
-        let mut fan = MultiObserver::new();
-        fan.push(self.observer);
-        if let Some(cov) = self.coverage {
-            cov.set_labels(faults.iter().map(|f| f.describe(&unit_circuit)).collect());
-            fan.push(cov);
-        }
-        let obs: &dyn CampaignObserver = &fan;
-        let t_total = Instant::now();
-        obs.on_event(&CampaignEvent::CampaignStart {
+        let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
+        let fan = observe(Some(self.observer), self.coverage, || {
+            faults.iter().map(|f| f.describe(&unit_circuit)).collect()
+        });
+        let spec = CampaignSpec {
             campaign: match self.unit {
                 CpuUnit::Adder => "cpu_adder",
                 CpuUnit::Logic => "cpu_logic",
             },
-            faults: faults.len(),
-            inputs: unit_circuit.inputs().len(),
-            outputs: unit_circuit.outputs().len(),
+            circuit: &unit_circuit,
+            faults: &overrides,
+            // One interpreted evaluation at a time.
             threads: 1,
-        });
+            fault_collapse: self.fault_collapse,
+            observer: &fan,
+            cancel: self.cancel,
+        };
+        let run = run_campaign(&spec, |c| {
+            Ok(CpuKind {
+                unit: self.unit,
+                workloads: &self.workloads,
+                budget: self.budget,
+                sim_faults: c.sim_faults,
+            })
+        })
+        .expect("datapath unit netlists compile");
+        let results = faults
+            .into_iter()
+            .zip(run.verdicts)
+            .map(|(fault, v)| CpuFaultResult {
+                fault,
+                detected: v.detected,
+                dormant: v.dormant,
+                undetected_wrong: v.undetected_wrong,
+            })
+            .collect();
+        CpuCampaign {
+            results,
+            periods: run.work.words,
+            cancelled: run.cancelled,
+        }
+    }
+}
+
+/// One simulated fault's outcome over the workload suite.
+#[derive(Debug, Clone)]
+struct CpuVerdict {
+    detected: usize,
+    dormant: usize,
+    undetected_wrong: usize,
+    /// Index of the first workload whose run tripped a check.
+    first_detected: Option<u32>,
+    /// CPU periods this fault's runs executed.
+    periods: u64,
+}
+
+/// The CPU campaign as the driver sees it: one fault per unit, every
+/// workload run on the interpreted datapath with that fault injected.
+struct CpuKind<'a> {
+    unit: CpuUnit,
+    workloads: &'a [Workload],
+    budget: u64,
+    sim_faults: Vec<Override>,
+}
+
+impl CpuKind<'_> {
+    /// A fresh alternating-mode CPU with `w`'s memory setup applied.
+    fn cpu_for(w: &Workload) -> Cpu {
+        let mut cpu = Cpu::new(CpuMode::Alternating);
+        for &(a, v) in &w.setup {
+            cpu.memory.write(a, v);
+        }
+        cpu
+    }
+}
+
+impl CampaignKind for CpuKind<'_> {
+    type Worker = ();
+    type Verdict = CpuVerdict;
+
+    fn unit_size(&self) -> usize {
+        1
+    }
+
+    fn header(&self) -> Vec<CampaignEvent> {
         // One interpreted evaluation at a time: the geometry event keeps
         // bench rows comparable with the lane-packed engine campaigns.
-        obs.on_event(&CampaignEvent::LaneGeometry {
+        vec![CampaignEvent::LaneGeometry {
             width: 1,
             fault_lanes: 0,
             pattern_lanes: 1,
             packing: "scalar",
-        });
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Compile,
-        });
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Compile,
-            micros: compile_micros,
-        });
-        if let Some(cl) = &collapsed {
-            obs.on_event(&CampaignEvent::Span {
-                name: "collapse",
-                parent: "compile",
-                micros: cl.micros,
-                count: 1,
-                items: cl.num_faults() as u64,
-            });
-            obs.on_event(&CampaignEvent::FaultCollapse {
-                faults: cl.num_faults(),
-                representatives: cl.num_reps(),
-                dominance_edges: cl.dominance_edges,
-                micros: cl.micros,
-            });
-        }
+        }]
+    }
 
-        // Golden phase: every workload must pass fault-free.
-        let t = Instant::now();
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Golden,
-        });
-        for w in &self.workloads {
-            let mut cpu = Cpu::new(CpuMode::Alternating);
-            for &(a, v) in &w.setup {
-                cpu.memory.write(a, v);
-            }
+    /// Every workload must pass fault-free.
+    fn golden(&mut self) -> Result<(u64, Option<()>), EngineError> {
+        for w in self.workloads {
+            let mut cpu = Self::cpu_for(w);
             cpu.run(&w.program, self.budget)
                 .expect("fault-free workload run");
             assert_eq!(
@@ -319,155 +322,66 @@ impl<'a> Campaign<'a> {
                 w.name
             );
         }
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Golden,
-            micros: duration_micros(t.elapsed()),
-        });
+        Ok((0, None))
+    }
 
-        // Fault-simulation phase, cancellable at fault boundaries
-        // (representative boundaries when collapsing). Under collapsing the
-        // per-fault events move to the expansion below, which replays them
-        // in original fault order; progress is reported in representative
-        // units because that is the work actually remaining.
-        let t = Instant::now();
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::FaultSim,
-        });
-        let mut periods = 0u64;
-        let mut cancelled = false;
-        let mut rep_outcomes: Vec<(CpuFaultResult, Option<u32>, u64)> =
-            Vec::with_capacity(sim_faults.len());
-        for (index, fault) in sim_faults.iter().enumerate() {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                cancelled = true;
-                break;
+    fn worker(&self) {}
+
+    fn simulate(&self, (): &mut (), cx: &UnitCx<'_>) -> Option<UnitOutcome<CpuVerdict>> {
+        let fault = self.sim_faults[cx.faults.start];
+        let mut v = CpuVerdict {
+            detected: 0,
+            dormant: 0,
+            undetected_wrong: 0,
+            first_detected: None,
+            periods: 0,
+        };
+        for (widx, w) in self.workloads.iter().enumerate() {
+            let mut cpu = Self::cpu_for(w);
+            match self.unit {
+                CpuUnit::Adder => cpu.datapath.fault_adder(fault),
+                CpuUnit::Logic => cpu.datapath.fault_logic(fault),
             }
-            if collapsed.is_none() {
-                obs.on_event(&CampaignEvent::FaultStart {
-                    fault: index,
-                    worker: 0,
-                });
-            }
-            let mut r = CpuFaultResult {
-                fault: *fault,
-                detected: 0,
-                dormant: 0,
-                undetected_wrong: 0,
-            };
-            let mut first_detected = None;
-            for (widx, w) in self.workloads.iter().enumerate() {
-                let mut cpu = Cpu::new(CpuMode::Alternating);
-                for &(a, v) in &w.setup {
-                    cpu.memory.write(a, v);
-                }
-                match self.unit {
-                    CpuUnit::Adder => cpu.datapath.fault_adder(fault.to_override()),
-                    CpuUnit::Logic => cpu.datapath.fault_logic(fault.to_override()),
-                }
-                match cpu.run(&w.program, self.budget) {
-                    Err(_) => {
-                        r.detected += 1;
-                        if first_detected.is_none() {
-                            first_detected = u32::try_from(widx).ok();
-                        }
-                    }
-                    Ok(_) => {
-                        if cpu.memory.read(RESULT) == Ok(w.expect) {
-                            r.dormant += 1;
-                        } else {
-                            r.undetected_wrong += 1;
-                        }
+            match cpu.run(&w.program, self.budget) {
+                Err(_) => {
+                    v.detected += 1;
+                    if v.first_detected.is_none() {
+                        v.first_detected = u32::try_from(widx).ok();
                     }
                 }
-                periods += cpu.stats().periods;
-            }
-            if collapsed.is_none() {
-                obs.on_event(&CampaignEvent::FaultFinish {
-                    fault: index,
-                    worker: 0,
-                    detected: r.detected,
-                    violations: r.undetected_wrong,
-                    observable: r.detected + r.undetected_wrong > 0,
-                    dropped: false,
-                    first_detected,
-                    pairs: periods / 2,
-                });
-            }
-            rep_outcomes.push((r, first_detected, periods / 2));
-            obs.on_event(&CampaignEvent::Progress {
-                done: index + 1,
-                total: sim_faults.len(),
-            });
-        }
-        let mut results = Vec::with_capacity(faults.len());
-        match &collapsed {
-            None => results = rep_outcomes.into_iter().map(|(r, _, _)| r).collect(),
-            Some(cl) => {
-                // Expand representative verdicts over their classes, in
-                // original fault order. A cancelled sweep keeps exactly the
-                // originals whose representative completed AND whose every
-                // predecessor did too, so the result list stays a contiguous
-                // fault-ordered prefix just like the uncollapsed sweep.
-                let completed = cl.completed_prefix(rep_outcomes.len());
-                for (o, fault) in faults.iter().enumerate().take(completed) {
-                    let r = cl.rep_of[o] as usize;
-                    let (outcome, first_detected, pairs) = &rep_outcomes[r];
-                    obs.on_event(&CampaignEvent::FaultStart {
-                        fault: o,
-                        worker: 0,
-                    });
-                    let rep_original = cl.reps[r] as usize;
-                    if rep_original != o {
-                        obs.on_event(&CampaignEvent::FaultClass {
-                            fault: o,
-                            representative: rep_original,
-                            size: cl.class_sizes[r] as usize,
-                        });
+                Ok(_) => {
+                    if cpu.memory.read(RESULT) == Ok(w.expect) {
+                        v.dormant += 1;
+                    } else {
+                        v.undetected_wrong += 1;
                     }
-                    obs.on_event(&CampaignEvent::FaultFinish {
-                        fault: o,
-                        worker: 0,
-                        detected: outcome.detected,
-                        violations: outcome.undetected_wrong,
-                        observable: outcome.detected + outcome.undetected_wrong > 0,
-                        dropped: false,
-                        first_detected: *first_detected,
-                        pairs: *pairs,
-                    });
-                    results.push(CpuFaultResult {
-                        fault: *fault,
-                        ..outcome.clone()
-                    });
                 }
             }
+            v.periods += cpu.stats().periods;
         }
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::FaultSim,
-            micros: duration_micros(t.elapsed()),
-        });
-        if cancelled {
-            obs.on_event(&CampaignEvent::Cancelled {
-                completed: results.len(),
-            });
-        }
-        obs.on_event(&CampaignEvent::CampaignEnd {
-            faults: results.len(),
-            dropped: 0,
-            pairs: periods / 2,
-            words: periods,
-            micros: duration_micros(t_total.elapsed()),
-            cancelled,
-        });
-        CpuCampaign {
-            results,
-            periods,
-            cancelled,
+        let work = Work {
+            pairs: v.periods / 2,
+            words: v.periods,
+            micros: 0,
+        };
+        Some(UnitOutcome {
+            verdicts: vec![v],
+            unit_events: Vec::new(),
+            fault_events: Vec::new(),
+            work,
+        })
+    }
+
+    fn finish(&self, v: &CpuVerdict) -> Finish {
+        Finish {
+            detected: v.detected,
+            violations: v.undetected_wrong,
+            observable: v.detected + v.undetected_wrong > 0,
+            dropped: false,
+            pairs: v.periods / 2,
+            first_detected: v.first_detected,
         }
     }
-}
-
-fn duration_micros(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -563,6 +477,43 @@ mod tests {
         assert!(partial.cancelled);
         assert_eq!(partial.results.len(), 2);
         assert_eq!(partial.results[..], full.results[..2]);
+    }
+
+    /// Each coverage record carries its own fault's pairs, not a running
+    /// total: the collapsed and uncollapsed maps agree record for record,
+    /// and the uncollapsed records' pairs add up to the campaign's total.
+    #[test]
+    fn coverage_records_carry_per_fault_pairs() {
+        for unit in [CpuUnit::Adder, CpuUnit::Logic] {
+            let (plain, collapsed) = (CoverageObserver::new(), CoverageObserver::new());
+            let collect = CollectObserver::default();
+            let _ = Campaign::new(unit)
+                .fault_collapse(false)
+                .observer(&collect)
+                .coverage(&plain)
+                .run();
+            let _ = Campaign::new(unit)
+                .fault_collapse(true)
+                .coverage(&collapsed)
+                .run();
+            let plain = plain.latest().expect("uncollapsed map");
+            let collapsed = collapsed.latest().expect("collapsed map");
+            assert_eq!(
+                collapsed.without_annotations(),
+                plain.without_annotations(),
+                "{unit:?}"
+            );
+            let end_pairs = collect
+                .events()
+                .iter()
+                .find_map(|e| match e {
+                    CampaignEvent::CampaignEnd { pairs, .. } => Some(*pairs),
+                    _ => None,
+                })
+                .expect("campaign_end");
+            let record_pairs: u64 = plain.records.iter().map(|r| r.pairs).sum();
+            assert_eq!(record_pairs, end_pairs, "{unit:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! the reproduction, and on randomly generated alternating networks.
 //! Cone-restricted evaluation (`EvalMode::Cone`) is held to the same bar
 //! against full evaluation, across thread counts, fault dropping, the
-//! streaming golden fallback, cancellation, and sequential replay.
+//! streaming golden fallback, and cancellation. The packed sequential
+//! backend is held to the graph-walking oracle. CI reruns the suite under
+//! each `SCAL_EVAL_MODE` × `SCAL_WORD_WIDTH` × `SCAL_FAULT_COLLAPSE` cell;
+//! the variables are read here, at the test edge, and passed to every
+//! engine-side campaign that would otherwise run at its default.
 
 use proptest::prelude::*;
 use scal::core::{dualize_synthesized, paper};
@@ -46,15 +50,27 @@ fn mode_under_test() -> EvalMode {
     }
 }
 
-/// Backend for the sequential campaigns under differential test. CI sets
-/// `SCAL_SEQ_BACKEND=packed|scalar` to run the suite once per backend;
-/// unset runs the default (packed).
-fn seq_backend_under_test() -> scal::seq::SeqBackend {
-    match std::env::var("SCAL_SEQ_BACKEND") {
-        Ok(s) => s
-            .parse()
-            .expect("SCAL_SEQ_BACKEND must be packed|scalar|graph"),
-        Err(_) => scal::seq::SeqBackend::default(),
+/// Word width for the engine-side campaigns of the differentials. CI sets
+/// `SCAL_WORD_WIDTH=1|4|8` to run the suite once per width; unset runs the
+/// default (`0`, CPU-feature detection).
+fn width_under_test() -> usize {
+    match std::env::var("SCAL_WORD_WIDTH") {
+        Ok(s) => s.trim().parse().expect("SCAL_WORD_WIDTH must be 1|4|8"),
+        Err(_) => 0,
+    }
+}
+
+/// Fault collapsing for the engine-side campaigns of the differentials. CI
+/// sets `SCAL_FAULT_COLLAPSE=0|1` to run the suite once per setting; unset
+/// runs the default (on).
+fn collapse_under_test() -> bool {
+    match std::env::var("SCAL_FAULT_COLLAPSE") {
+        Ok(s) => match s.trim().to_ascii_lowercase().as_str() {
+            "1" | "on" | "true" => true,
+            "0" | "off" | "false" => false,
+            other => panic!("SCAL_FAULT_COLLAPSE must be 0|1, got {other:?}"),
+        },
+        Err(_) => true,
     }
 }
 
@@ -71,6 +87,8 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
         let engine = Campaign::new(&c)
             .faults(faults.clone())
             .eval_mode(mode_under_test())
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .run()
             .expect("engine campaign")
             .results;
@@ -106,6 +124,8 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
         let bare = Campaign::new(&c)
             .faults(faults.clone())
             .eval_mode(mode_under_test())
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .run()
             .expect("campaign")
             .results;
@@ -113,6 +133,8 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
         let observed = Campaign::new(&c)
             .faults(faults)
             .eval_mode(mode_under_test())
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .observer(&collect)
             .run()
             .expect("campaign");
@@ -174,6 +196,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
                     .threads(threads)
                     .drop_after_detection(drop)
                     .eval_mode(EvalMode::Full)
+                    .word_width(width_under_test())
+                    .fault_collapse(collapse_under_test())
                     .run()
                     .expect("full campaign")
                     .results;
@@ -181,6 +205,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
                     .faults(faults.clone())
                     .threads(threads)
                     .drop_after_detection(drop)
+                    .word_width(width_under_test())
+                    .fault_collapse(collapse_under_test())
                     .run()
                     .expect("cone campaign")
                     .results;
@@ -192,6 +218,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
         let config = EngineConfig::builder()
             .threads(1)
             .golden_cache_bytes(1)
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .build()
             .expect("valid config");
         let streamed = Campaign::new(&c)
@@ -204,6 +232,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
             .faults(faults)
             .threads(1)
             .eval_mode(EvalMode::Full)
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .run()
             .expect("full campaign")
             .results;
@@ -236,6 +266,7 @@ fn wide_word_widths_match_scalar_on_paper_circuits() {
                     .drop_after_detection(drop)
                     .eval_mode(mode_under_test())
                     .word_width(1)
+                    .fault_collapse(collapse_under_test())
                     .run()
                     .expect("scalar-width campaign");
                 for width in [4usize, 8] {
@@ -245,6 +276,7 @@ fn wide_word_widths_match_scalar_on_paper_circuits() {
                         .drop_after_detection(drop)
                         .eval_mode(mode_under_test())
                         .word_width(width)
+                        .fault_collapse(collapse_under_test())
                         .run()
                         .expect("wide campaign");
                     assert_eq!(
@@ -287,6 +319,7 @@ fn fault_packed_campaign_matches_unpacked_on_paper_circuits() {
                 .threads(1)
                 .drop_after_detection(drop)
                 .word_width(1)
+                .fault_collapse(collapse_under_test())
                 .run()
                 .expect("unpacked campaign");
             for width in [1usize, 8] {
@@ -296,6 +329,7 @@ fn fault_packed_campaign_matches_unpacked_on_paper_circuits() {
                     .drop_after_detection(drop)
                     .word_width(width)
                     .fault_packing(true)
+                    .fault_collapse(collapse_under_test())
                     .run()
                     .expect("fault-packed campaign");
                 assert_eq!(
@@ -346,6 +380,7 @@ fn cancelled_fault_packed_prefix_matches_unpacked_run() {
         .faults(faults.clone())
         .threads(1)
         .word_width(1)
+        .fault_collapse(collapse_under_test())
         .run()
         .expect("unpacked campaign")
         .results;
@@ -360,6 +395,7 @@ fn cancelled_fault_packed_prefix_matches_unpacked_run() {
     let partial = Campaign::new(&c)
         .faults(faults)
         .threads(1)
+        .word_width(width_under_test())
         .fault_packing(true)
         .fault_collapse(false)
         .observer(&observer)
@@ -375,38 +411,6 @@ fn cancelled_fault_packed_prefix_matches_unpacked_run() {
         full[..k],
         "packed prefix must match the unpacked run"
     );
-}
-
-/// Sequential campaigns: cone replay over the cached golden trace is
-/// bit-identical to full per-fault re-simulation on both Chapter-4 SCAL
-/// designs, across thread counts.
-#[test]
-fn seq_cone_eval_matches_full_on_kohavi_designs() {
-    use scal::seq::SeqBackend;
-    let m = scal::seq::kohavi::kohavi_0101();
-    let words: Vec<Vec<bool>> = [0u32, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]
-        .iter()
-        .map(|&s| vec![s == 1])
-        .collect();
-    for machine in [
-        scal::seq::dual_ff_machine(&m),
-        scal::seq::code_conversion_machine(&m),
-    ] {
-        for threads in [1, 2, 4] {
-            let full = scal::seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(SeqBackend::Scalar)
-                .eval_mode(EvalMode::Full)
-                .run()
-                .expect("full seq campaign");
-            let cone = scal::seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(SeqBackend::Scalar)
-                .run()
-                .expect("cone seq campaign");
-            assert_eq!(full, cone, "{}: threads {threads}", machine.design);
-        }
-    }
 }
 
 /// The Chapter-4 sequential machines and the 4-bit up/down counter under
@@ -434,11 +438,11 @@ fn seq_drive(width: usize) -> Vec<Vec<bool>> {
 }
 
 /// The packed fault-per-lane backend is bit-identical to the per-fault
-/// scalar backend — outcomes, `first_detected` words, and coverage maps —
-/// on every sequential design, across thread counts and both scalar-oracle
-/// eval modes. (Sequential campaigns have no fault-dropping knob — a
-/// classified fault inherently stops consuming words — so the scalar
-/// oracle's eval-mode axis stands in for the pair campaign's drop axis.)
+/// scalar oracle — the graph-walking [`SeqBackend::Graph`] driver —
+/// outcomes, `first_detected` words, and coverage maps — on every
+/// sequential design, across thread counts.
+///
+/// [`SeqBackend::Graph`]: scal::seq::SeqBackend::Graph
 #[test]
 fn seq_packed_matches_scalar_backend() {
     use scal::obs::CoverageObserver;
@@ -446,50 +450,44 @@ fn seq_packed_matches_scalar_backend() {
     for machine in seq_differential_machines() {
         let words = seq_drive(machine.circuit.inputs().len() - 1);
         for threads in [1, 2, 4] {
-            for oracle_mode in [EvalMode::Full, EvalMode::Cone] {
-                let packed_cov = CoverageObserver::new();
-                let packed = scal::seq::Campaign::new(&machine, &words)
-                    .threads(threads)
-                    .backend(seq_backend_under_test())
-                    .coverage(&packed_cov)
-                    .run()
-                    .expect("packed seq campaign");
-                let scalar_cov = CoverageObserver::new();
-                let scalar = scal::seq::Campaign::new(&machine, &words)
-                    .threads(threads)
-                    .backend(SeqBackend::Scalar)
-                    .eval_mode(oracle_mode)
-                    .coverage(&scalar_cov)
-                    .run()
-                    .expect("scalar seq campaign");
-                assert_eq!(
-                    packed, scalar,
-                    "{}: threads {threads}, oracle {oracle_mode}",
-                    machine.design
-                );
-                for ((p, s), (fault, _)) in packed_cov
-                    .latest()
-                    .expect("packed map")
-                    .records
-                    .iter()
-                    .zip(&scalar_cov.latest().expect("scalar map").records)
-                    .zip(&packed.outcomes)
-                {
-                    assert_eq!(p.first_detected, s.first_detected, "{fault:?}");
-                    assert_eq!(p.detected, s.detected, "{fault:?}");
-                    assert_eq!(p.violations, s.violations, "{fault:?}");
-                    assert_eq!(p.observable, s.observable, "{fault:?}");
-                    assert_eq!(p.pairs, s.pairs, "{fault:?}");
-                    assert_eq!(p.label, s.label, "{fault:?}");
-                }
+            let packed_cov = CoverageObserver::new();
+            let packed = scal::seq::Campaign::new(&machine, &words)
+                .threads(threads)
+                .word_width(width_under_test())
+                .fault_collapse(collapse_under_test())
+                .coverage(&packed_cov)
+                .run()
+                .expect("packed seq campaign");
+            let scalar_cov = CoverageObserver::new();
+            let scalar = scal::seq::Campaign::new(&machine, &words)
+                .threads(threads)
+                .backend(SeqBackend::Graph)
+                .coverage(&scalar_cov)
+                .run()
+                .expect("graph seq campaign");
+            assert_eq!(packed, scalar, "{}: threads {threads}", machine.design);
+            for ((p, s), (fault, _)) in packed_cov
+                .latest()
+                .expect("packed map")
+                .records
+                .iter()
+                .zip(&scalar_cov.latest().expect("graph map").records)
+                .zip(&packed.outcomes)
+            {
+                assert_eq!(p.first_detected, s.first_detected, "{fault:?}");
+                assert_eq!(p.detected, s.detected, "{fault:?}");
+                assert_eq!(p.violations, s.violations, "{fault:?}");
+                assert_eq!(p.observable, s.observable, "{fault:?}");
+                assert_eq!(p.pairs, s.pairs, "{fault:?}");
+                assert_eq!(p.label, s.label, "{fault:?}");
             }
         }
     }
 }
 
 /// A cancelled packed campaign's fault-ordered prefix is bit-identical to
-/// the same prefix of an uncancelled scalar-backend run; packed
-/// cancellation lands on a whole-batch boundary.
+/// the same prefix of an uncancelled run of the per-fault graph oracle;
+/// packed cancellation lands on a whole-batch boundary.
 #[test]
 fn cancelled_packed_seq_prefix_matches_scalar_run() {
     use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
@@ -514,9 +512,9 @@ fn cancelled_packed_seq_prefix_matches_scalar_run() {
     assert!(total > 63, "want multiple packed batches, got {total}");
     let full = scal::seq::Campaign::new(&machine, &words)
         .threads(1)
-        .backend(SeqBackend::Scalar)
+        .backend(SeqBackend::Graph)
         .run()
-        .expect("scalar seq campaign");
+        .expect("graph seq campaign");
     let token = CancelToken::new();
     let observer = CancelAfter {
         token: &token,
@@ -541,7 +539,7 @@ fn cancelled_packed_seq_prefix_matches_scalar_run() {
     assert_eq!(
         partial.outcomes[..],
         full.outcomes[..k],
-        "packed prefix must match the scalar run"
+        "packed prefix must match the graph-oracle run"
     );
 }
 
@@ -570,6 +568,8 @@ fn cancelled_cone_prefix_matches_full_run() {
         .faults(faults.clone())
         .drop_after_detection(true)
         .eval_mode(EvalMode::Full)
+        .word_width(width_under_test())
+        .fault_collapse(collapse_under_test())
         .run()
         .expect("full campaign")
         .results;
@@ -581,6 +581,8 @@ fn cancelled_cone_prefix_matches_full_run() {
     let partial = Campaign::new(&c)
         .faults(faults)
         .drop_after_detection(true)
+        .word_width(width_under_test())
+        .fault_collapse(collapse_under_test())
         .observer(&observer)
         .cancel(&token)
         .run()
@@ -635,6 +637,8 @@ proptest! {
         let engine = Campaign::new(&alt)
             .faults(faults.clone())
             .eval_mode(mode_under_test())
+            .word_width(width_under_test())
+            .fault_collapse(collapse_under_test())
             .run()
             .expect("engine campaign")
             .results;
