@@ -595,8 +595,8 @@ pub fn run_suite(
         circuits.push(CircuitBench::from_parts(name, &map, &profile, rate));
     }
 
-    // Chapter-7 CPU datapath campaign (adder unit, default workloads). A
-    // single run banks plenty of eval time, so no repetition here.
+    // Chapter-7 CPU datapath campaign (adder unit, default workloads),
+    // repeated like the rows above until enough eval time accumulates.
     let cov = CoverageObserver::new();
     let prof = Profiler::new();
     let rate = aggregate_rate(&prof, || {

@@ -9,14 +9,25 @@
 //! builder mirrors `scal_faults::Campaign` and runs on the shared campaign
 //! driver ([`scal_engine::run_campaign`]): it forwards every step to a
 //! [`CampaignObserver`], collapses the unit's fault list, and honours a
-//! [`CancelToken`] at fault boundaries, returning a deterministic
+//! [`CancelToken`] between batches of 63 faults, returning a deterministic
 //! fault-ordered prefix when cancelled.
+//!
+//! Faults run as concurrent, lock-step faulty CPUs: each workload runs once
+//! fault-free on the interpreted datapath, recording every datapath
+//! operation, and then up to 63 faults at a time replay that trace in the
+//! lanes of one packed evaluation of the compiled unit — two periods per
+//! operation on the faulted unit. A lane whose unit output fails to
+//! alternate is detected there; a lane whose output alternates but is wrong
+//! has left the golden trajectory undetected, so that fault × workload is
+//! re-run on the interpreted datapath, which is exact; a lane still in
+//! lock-step at the end of the trace is dormant.
 
-use crate::cpu::{Cpu, CpuMode, Program};
+use crate::cpu::{Cpu, CpuMode, DatapathOp, Program};
+use crate::datapath::Datapath;
 use crate::programs::{checksum, popcount, ARG0, RESULT};
 use scal_engine::{
-    observe, run_campaign, CampaignKind, CampaignSpec, EngineError, Finish, Toggle, UnitCx,
-    UnitOutcome, Work,
+    observe, run_campaign, CampaignKind, CampaignSpec, CompiledCircuit, EngineError, Finish,
+    PackedBatchPlan, PackedSeqSim, Toggle, UnitCx, UnitOutcome, Work,
 };
 use scal_faults::{enumerate_faults, Fault};
 use scal_netlist::Override;
@@ -188,7 +199,7 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Attaches a cancellation token checked at fault boundaries.
+    /// Attaches a cancellation token checked between batches of 63 faults.
     #[must_use]
     pub fn cancel(mut self, cancel: &'a CancelToken) -> Self {
         self.cancel = Some(cancel);
@@ -203,43 +214,58 @@ impl<'a> Campaign<'a> {
     /// that is a broken workload, not a campaign outcome.
     #[must_use]
     pub fn run(self) -> CpuCampaign {
-        // Extracting the unit netlist from the datapath and enumerating its
-        // fault sites; the driver compiles it only to collapse the faults —
-        // the interpreted datapath carries no compiled schedule.
-        let unit_circuit = {
-            let cpu = Cpu::new(CpuMode::Normal);
-            match self.unit {
-                CpuUnit::Adder => cpu.datapath.adder,
-                CpuUnit::Logic => cpu.datapath.logic,
-            }
+        self.run_on(&Datapath::new()).0
+    }
+
+    /// Runs the campaign over `datapath`'s units, returning the report and
+    /// how many (original fault, workload) runs were answered by a fork to
+    /// the interpreted datapath.
+    pub(crate) fn run_on(self, datapath: &Datapath) -> (CpuCampaign, usize) {
+        // The driver compiles the unit netlist once: it collapses the fault
+        // list on it, and every batch of faults runs on it in lock-step.
+        let unit_circuit = match self.unit {
+            CpuUnit::Adder => &datapath.adder,
+            CpuUnit::Logic => &datapath.logic,
         };
-        let faults = enumerate_faults(&unit_circuit);
+        let faults = enumerate_faults(unit_circuit);
         let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
         let fan = observe(Some(self.observer), self.coverage, || {
-            faults.iter().map(|f| f.describe(&unit_circuit)).collect()
+            faults.iter().map(|f| f.describe(unit_circuit)).collect()
         });
         let spec = CampaignSpec {
             campaign: match self.unit {
                 CpuUnit::Adder => "cpu_adder",
                 CpuUnit::Logic => "cpu_logic",
             },
-            circuit: &unit_circuit,
+            circuit: unit_circuit,
             faults: &overrides,
-            // One interpreted evaluation at a time.
             threads: 1,
             fault_collapse: self.fault_collapse,
             observer: &fan,
             cancel: self.cancel,
         };
         let run = run_campaign(&spec, |c| {
+            let plans = c
+                .sim_faults
+                .chunks(PackedSeqSim::FAULT_LANES)
+                .map(|batch| {
+                    let refs: Vec<&[Override]> = batch.iter().map(std::slice::from_ref).collect();
+                    PackedBatchPlan::build(&c.circuit, &refs)
+                })
+                .collect();
             Ok(CpuKind {
                 unit: self.unit,
+                datapath,
                 workloads: &self.workloads,
                 budget: self.budget,
                 sim_faults: c.sim_faults,
+                compiled: c.circuit,
+                plans,
+                golden: Vec::new(),
             })
         })
         .expect("datapath unit netlists compile");
+        let forks = run.verdicts.iter().map(|v| v.forks).sum();
         let results = faults
             .into_iter()
             .zip(run.verdicts)
@@ -250,16 +276,28 @@ impl<'a> Campaign<'a> {
                 undetected_wrong: v.undetected_wrong,
             })
             .collect();
-        CpuCampaign {
+        let report = CpuCampaign {
             results,
             periods: run.work.words,
             cancelled: run.cancelled,
-        }
+        };
+        (report, forks)
     }
 }
 
+/// How one faulty workload run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunEnd {
+    /// A check fired.
+    Detected,
+    /// The run finished with the correct answer.
+    Dormant,
+    /// The run finished with a wrong answer and no check fired.
+    Wrong,
+}
+
 /// One simulated fault's outcome over the workload suite.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct CpuVerdict {
     detected: usize,
     dormant: usize,
@@ -268,25 +306,92 @@ struct CpuVerdict {
     first_detected: Option<u32>,
     /// CPU periods this fault's runs executed.
     periods: u64,
+    /// Workloads re-run on the interpreted datapath.
+    forks: usize,
 }
 
-/// The CPU campaign as the driver sees it: one fault per unit, every
-/// workload run on the interpreted datapath with that fault injected.
+impl CpuVerdict {
+    /// Folds in workload `w`'s run, which ended as `end` after `periods`.
+    fn record(&mut self, w: usize, end: RunEnd, periods: u64) {
+        match end {
+            RunEnd::Detected => {
+                self.detected += 1;
+                if self.first_detected.is_none() {
+                    self.first_detected = u32::try_from(w).ok();
+                }
+            }
+            RunEnd::Dormant => self.dormant += 1,
+            RunEnd::Wrong => self.undetected_wrong += 1,
+        }
+        self.periods += periods;
+    }
+}
+
+/// One workload's fault-free run.
+struct GoldenRun {
+    /// Every datapath operation, in execution order.
+    ops: Vec<DatapathOp>,
+    /// CPU periods the run took.
+    periods: u64,
+}
+
+/// Fault indices (within a batch) of the lanes set in `mask`; lane 0 is
+/// golden, lane `i + 1` fault `i`.
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane - 1
+        })
+    })
+}
+
+/// The CPU campaign as the driver sees it: a unit is a batch of up to 63
+/// faults riding the lanes of one packed evaluation of the faulted unit
+/// (lane 0 golden). Each batch walks every workload's golden datapath trace
+/// in lock-step: a faulty CPU whose unit outputs match golden has the
+/// golden architectural state, so it keeps following the trace until its
+/// unit fails to alternate (detected) or alternates to a wrong value (the
+/// lane forks to the interpreted datapath, which finishes that run
+/// exactly).
 struct CpuKind<'a> {
     unit: CpuUnit,
+    datapath: &'a Datapath,
     workloads: &'a [Workload],
     budget: u64,
     sim_faults: Vec<Override>,
+    compiled: CompiledCircuit,
+    /// Every batch's lane plan, built in the compile phase.
+    plans: Vec<PackedBatchPlan>,
+    /// One fault-free run per workload, recorded by the golden step.
+    golden: Vec<GoldenRun>,
 }
 
 impl CpuKind<'_> {
-    /// A fresh alternating-mode CPU with `w`'s memory setup applied.
-    fn cpu_for(w: &Workload) -> Cpu {
-        let mut cpu = Cpu::new(CpuMode::Alternating);
+    /// A fresh alternating-mode CPU over the campaign's datapath with
+    /// `w`'s memory setup applied.
+    fn cpu_for(&self, w: &Workload) -> Cpu {
+        let mut cpu = Cpu::with_datapath(CpuMode::Alternating, self.datapath.clone());
         for &(a, v) in &w.setup {
             cpu.memory.write(a, v);
         }
         cpu
+    }
+
+    /// Runs `w` on the interpreted datapath with `fault` injected.
+    fn run_interpreted(&self, w: &Workload, fault: Override) -> (RunEnd, u64) {
+        let mut cpu = self.cpu_for(w);
+        match self.unit {
+            CpuUnit::Adder => cpu.datapath.fault_adder(fault),
+            CpuUnit::Logic => cpu.datapath.fault_logic(fault),
+        }
+        let end = match cpu.run(&w.program, self.budget) {
+            Err(_) => RunEnd::Detected,
+            Ok(_) if cpu.memory.read(RESULT) == Ok(w.expect) => RunEnd::Dormant,
+            Ok(_) => RunEnd::Wrong,
+        };
+        (end, cpu.stats().periods)
     }
 }
 
@@ -295,78 +400,116 @@ impl CampaignKind for CpuKind<'_> {
     type Verdict = CpuVerdict;
 
     fn unit_size(&self) -> usize {
-        1
+        PackedSeqSim::FAULT_LANES
     }
 
     fn header(&self) -> Vec<CampaignEvent> {
-        // One interpreted evaluation at a time: the geometry event keeps
-        // bench rows comparable with the lane-packed engine campaigns.
         vec![CampaignEvent::LaneGeometry {
             width: 1,
-            fault_lanes: 0,
-            pattern_lanes: 1,
-            packing: "scalar",
+            fault_lanes: PackedSeqSim::FAULT_LANES,
+            pattern_lanes: 0,
+            packing: "seq",
         }]
     }
 
-    /// Every workload must pass fault-free.
+    /// Runs every workload fault-free on the interpreted datapath (each
+    /// must pass) and records its datapath trace.
     fn golden(&mut self) -> Result<(u64, Option<()>), EngineError> {
-        for w in self.workloads {
-            let mut cpu = Self::cpu_for(w);
-            cpu.run(&w.program, self.budget)
-                .expect("fault-free workload run");
-            assert_eq!(
-                cpu.memory.read(RESULT),
-                Ok(w.expect),
-                "workload {} golden result",
-                w.name
-            );
-        }
+        self.golden = self
+            .workloads
+            .iter()
+            .map(|w| {
+                let mut cpu = self.cpu_for(w);
+                cpu.trace = Some(Vec::new());
+                cpu.run(&w.program, self.budget)
+                    .expect("fault-free workload run");
+                assert_eq!(
+                    cpu.memory.read(RESULT),
+                    Ok(w.expect),
+                    "workload {} golden result",
+                    w.name
+                );
+                GoldenRun {
+                    ops: cpu.trace.take().unwrap_or_default(),
+                    periods: cpu.stats().periods,
+                }
+            })
+            .collect();
         Ok((0, None))
     }
 
     fn worker(&self) {}
 
     fn simulate(&self, (): &mut (), cx: &UnitCx<'_>) -> Option<UnitOutcome<CpuVerdict>> {
-        let fault = self.sim_faults[cx.faults.start];
-        let mut v = CpuVerdict {
-            detected: 0,
-            dormant: 0,
-            undetected_wrong: 0,
-            first_detected: None,
-            periods: 0,
-        };
-        for (widx, w) in self.workloads.iter().enumerate() {
-            let mut cpu = Self::cpu_for(w);
-            match self.unit {
-                CpuUnit::Adder => cpu.datapath.fault_adder(fault),
-                CpuUnit::Logic => cpu.datapath.fault_logic(fault),
-            }
-            match cpu.run(&w.program, self.budget) {
-                Err(_) => {
-                    v.detected += 1;
-                    if v.first_detected.is_none() {
-                        v.first_detected = u32::try_from(widx).ok();
-                    }
+        let faults = &self.sim_faults[cx.faults.clone()];
+        let mut sim = PackedSeqSim::from_plan(&self.compiled, &self.plans[cx.unit]);
+        let all = sim.lane_mask();
+        let mut verdicts = vec![CpuVerdict::default(); faults.len()];
+        let mut o1 = vec![0u64; self.compiled.num_outputs()];
+        // Periods of golden trace walked, and lanes detected in lock-step
+        // on some workload.
+        let (mut replayed, mut retired) = (0u64, 0u64);
+        for (widx, (w, golden)) in self.workloads.iter().zip(&self.golden).enumerate() {
+            let (mut live, mut forked) = (all, 0u64);
+            let mut walked = golden.ops.len();
+            for (k, op) in golden.ops.iter().enumerate() {
+                if op.unit != Some(self.unit) {
+                    continue;
                 }
-                Ok(_) => {
-                    if cpu.memory.read(RESULT) == Ok(w.expect) {
-                        v.dormant += 1;
-                    } else {
-                        v.undetected_wrong += 1;
-                    }
+                sim.step(&op.inputs(false));
+                for (j, o) in o1.iter_mut().enumerate() {
+                    *o = sim.output(j);
+                }
+                sim.step(&op.inputs(true));
+                // A lane fails to alternate where its two periods agree; a
+                // lane that alternates is wrong in both periods or neither,
+                // so the true period decides whether it left lock-step.
+                let (mut nonalt, mut wrong) = (0u64, 0u64);
+                for (j, &t) in o1.iter().enumerate() {
+                    nonalt |= !(t ^ sim.output(j));
+                    wrong |= t ^ (t & 1).wrapping_neg();
+                }
+                let detected = nonalt & live;
+                for f in lanes(detected) {
+                    verdicts[f].record(widx, RunEnd::Detected, 2 * (k as u64 + 1));
+                }
+                retired |= detected;
+                forked |= wrong & !nonalt & live;
+                live &= !(nonalt | wrong);
+                if live == 0 {
+                    walked = k + 1;
+                    break;
                 }
             }
-            v.periods += cpu.stats().periods;
+            replayed += 2 * walked as u64;
+            for f in lanes(live) {
+                verdicts[f].record(widx, RunEnd::Dormant, golden.periods);
+            }
+            for f in lanes(forked) {
+                let (end, periods) = self.run_interpreted(w, faults[f]);
+                verdicts[f].record(widx, end, periods);
+                verdicts[f].forks += 1;
+            }
         }
+        let unit_events = if cx.record {
+            vec![CampaignEvent::LaneBatch {
+                batch: cx.unit,
+                worker: cx.worker,
+                lanes: faults.len(),
+                words: replayed,
+                retired: retired.count_ones() as usize,
+            }]
+        } else {
+            Vec::new()
+        };
         let work = Work {
-            pairs: v.periods / 2,
-            words: v.periods,
+            pairs: verdicts.iter().map(|v| v.periods / 2).sum(),
+            words: verdicts.iter().map(|v| v.periods).sum(),
             micros: 0,
         };
         Some(UnitOutcome {
-            verdicts: vec![v],
-            unit_events: Vec::new(),
+            verdicts,
+            unit_events,
             fault_events: Vec::new(),
             work,
         })
@@ -387,6 +530,8 @@ impl CampaignKind for CpuKind<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datapath::WORD;
+    use scal_netlist::{Circuit, NodeId};
     use scal_obs::CollectObserver;
 
     #[test]
@@ -446,37 +591,30 @@ mod tests {
 
     #[test]
     fn cancellation_returns_fault_ordered_prefix() {
-        // Collapsing pinned off: the cancel-after-2 observer and the length
-        // assertion below count individual faults, which under collapsing
-        // would be representative units instead.
+        // Collapsing pinned off so the prefix counts individual faults.
+        // Cancellation is checked between 63-fault batches: cancelling on
+        // the first progress tick leaves exactly the first batch answered.
         let full = Campaign::new(CpuUnit::Logic).fault_collapse(false).run();
         let cancel = CancelToken::new();
 
-        struct CancelAfter<'a> {
-            token: &'a CancelToken,
-            after: usize,
-        }
-        impl CampaignObserver for CancelAfter<'_> {
+        struct CancelOnProgress<'a>(&'a CancelToken);
+        impl CampaignObserver for CancelOnProgress<'_> {
             fn on_event(&self, event: &CampaignEvent) {
-                if let CampaignEvent::Progress { done, .. } = event {
-                    if *done >= self.after {
-                        self.token.cancel();
-                    }
+                if matches!(event, CampaignEvent::Progress { .. }) {
+                    self.0.cancel();
                 }
             }
         }
-        let obs = CancelAfter {
-            token: &cancel,
-            after: 2,
-        };
+        let obs = CancelOnProgress(&cancel);
         let partial = Campaign::new(CpuUnit::Logic)
             .fault_collapse(false)
             .observer(&obs)
             .cancel(&cancel)
             .run();
         assert!(partial.cancelled);
-        assert_eq!(partial.results.len(), 2);
-        assert_eq!(partial.results[..], full.results[..2]);
+        let n = partial.results.len();
+        assert!(n > 0 && n < full.results.len(), "prefix of {n} faults");
+        assert_eq!(partial.results[..], full.results[..n]);
     }
 
     /// Each coverage record carries its own fault's pairs, not a running
@@ -549,6 +687,89 @@ mod tests {
                 .filter(|e| matches!(e, CampaignEvent::FaultClass { .. }))
                 .count();
             assert_eq!(classes, faults - reps);
+        }
+    }
+
+    /// The interpreted oracle: every fault × workload on a fresh CPU over
+    /// `datapath`, with no engine code involved.
+    fn interpreted_oracle(datapath: &Datapath, unit: CpuUnit) -> Vec<CpuFaultResult> {
+        let circuit = match unit {
+            CpuUnit::Adder => &datapath.adder,
+            CpuUnit::Logic => &datapath.logic,
+        };
+        enumerate_faults(circuit)
+            .into_iter()
+            .map(|fault| {
+                let mut r = CpuFaultResult {
+                    fault,
+                    detected: 0,
+                    dormant: 0,
+                    undetected_wrong: 0,
+                };
+                for w in default_workloads() {
+                    let mut cpu = Cpu::with_datapath(CpuMode::Alternating, datapath.clone());
+                    for &(a, v) in &w.setup {
+                        cpu.memory.write(a, v);
+                    }
+                    match unit {
+                        CpuUnit::Adder => cpu.datapath.fault_adder(fault.to_override()),
+                        CpuUnit::Logic => cpu.datapath.fault_logic(fault.to_override()),
+                    }
+                    match cpu.run(&w.program, 1_000_000) {
+                        Err(_) => r.detected += 1,
+                        Ok(_) if cpu.memory.read(RESULT) == Ok(w.expect) => r.dormant += 1,
+                        Ok(_) => r.undetected_wrong += 1,
+                    }
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// A logic unit whose XOR is `(a ⊕ b) ⊕ φ`: the intermediate `a ⊕ b`
+    /// line does not alternate, so a stuck-at fault on it makes the XOR
+    /// output alternate to a wrong value — the non-alternating internal
+    /// line case, which lock-step lanes must fork out of.
+    fn chained_xor_logic_unit() -> Circuit {
+        let mut c = Circuit::new();
+        let a: Vec<NodeId> = (0..WORD).map(|i| c.input(format!("a{i}"))).collect();
+        let b: Vec<NodeId> = (0..WORD).map(|i| c.input(format!("b{i}"))).collect();
+        let phi = c.input("phi");
+        let nphi = c.not(phi);
+        let maj = |c: &mut Circuit, x: NodeId, y: NodeId, z: NodeId| {
+            let g1 = c.nand(&[x, y]);
+            let g2 = c.nand(&[x, z]);
+            let g3 = c.nand(&[y, z]);
+            c.nand(&[g1, g2, g3])
+        };
+        let ands: Vec<NodeId> = (0..WORD).map(|i| maj(&mut c, a[i], b[i], phi)).collect();
+        let ors: Vec<NodeId> = (0..WORD).map(|i| maj(&mut c, a[i], b[i], nphi)).collect();
+        let xors: Vec<NodeId> = (0..WORD)
+            .map(|i| {
+                let ab = c.xor(&[a[i], b[i]]);
+                c.xor(&[ab, phi])
+            })
+            .collect();
+        for (name, nodes) in [("and", &ands), ("or", &ors), ("xor", &xors)] {
+            for (i, &n) in nodes.iter().enumerate() {
+                c.mark_output(format!("{name}{i}"), n);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn wrong_alternating_lanes_fork_to_the_interpreted_datapath() {
+        let mut datapath = Datapath::new();
+        datapath.logic = chained_xor_logic_unit();
+        let oracle = interpreted_oracle(&datapath, CpuUnit::Logic);
+        for collapse in [false, true] {
+            let (report, forks) = Campaign::new(CpuUnit::Logic)
+                .fault_collapse(collapse)
+                .run_on(&datapath);
+            assert!(report.undetected_wrong() > 0, "collapse {collapse}");
+            assert!(forks > 0, "collapse {collapse}");
+            assert_eq!(report.results, oracle, "collapse {collapse}");
         }
     }
 }

@@ -6,7 +6,8 @@
 //! through the gate-level alternating datapath of [`crate::Datapath`] and
 //! the parity memory of [`crate::ParityMemory`].
 
-use crate::datapath::Datapath;
+use crate::campaign::CpuUnit;
+use crate::datapath::{unit_inputs, Datapath, WORD};
 use crate::memory::{MemoryFault, ParityMemory};
 
 /// Instruction set of the demonstration machine (8-bit accumulator,
@@ -105,6 +106,24 @@ pub struct RunStats {
     pub periods: u64,
 }
 
+/// One datapath operation of a recorded run: the unit it ran on (`None`
+/// for the shifter, which is wiring) and its true-period operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DatapathOp {
+    pub(crate) unit: Option<CpuUnit>,
+    pub(crate) a: u8,
+    pub(crate) b: u8,
+    pub(crate) cin: bool,
+}
+
+impl DatapathOp {
+    /// The unit's input vector in the true (`phi = false`) or complemented
+    /// period, as [`Datapath::add_once`] / [`Datapath::logic_once`] drive it.
+    pub(crate) fn inputs(&self, phi: bool) -> [bool; 2 * WORD + 1] {
+        unit_inputs(self.a, self.b, self.cin ^ phi, phi)
+    }
+}
+
 /// The accumulator CPU.
 #[derive(Debug)]
 pub struct Cpu {
@@ -119,14 +138,22 @@ pub struct Cpu {
     pc: usize,
     halted: bool,
     stats: RunStats,
+    /// When `Some`, every datapath operation is appended here (golden runs
+    /// of the CPU campaign record their trace this way).
+    pub(crate) trace: Option<Vec<DatapathOp>>,
 }
 
 impl Cpu {
     /// Creates a CPU with zeroed state and a 256-word memory.
     #[must_use]
     pub fn new(mode: CpuMode) -> Self {
+        Self::with_datapath(mode, Datapath::new())
+    }
+
+    /// A CPU with zeroed state over a given datapath.
+    pub(crate) fn with_datapath(mode: CpuMode, datapath: Datapath) -> Self {
         Cpu {
-            datapath: Datapath::new(),
+            datapath,
             memory: ParityMemory::new(256),
             mode,
             acc: 0,
@@ -135,6 +162,7 @@ impl Cpu {
             pc: 0,
             halted: false,
             stats: RunStats::default(),
+            trace: None,
         }
     }
 
@@ -180,7 +208,19 @@ impl Cpu {
         self.mode
     }
 
+    fn record(&mut self, unit: Option<CpuUnit>, b: u8, cin: bool) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(DatapathOp {
+                unit,
+                a: self.acc,
+                b,
+                cin,
+            });
+        }
+    }
+
     fn alu_add(&mut self, operand: u8, cin: bool) -> Result<(u8, bool), CheckError> {
+        self.record(Some(CpuUnit::Adder), operand, cin);
         let (s1, c1) = self.datapath.add_once(self.acc, operand, cin, false);
         self.stats.periods += 1;
         if self.mode == CpuMode::Alternating {
@@ -197,6 +237,7 @@ impl Cpu {
     }
 
     fn alu_logic(&mut self, operand: u8) -> Result<(u8, u8, u8), CheckError> {
+        self.record(Some(CpuUnit::Logic), operand, false);
         let p1 = self.datapath.logic_once(self.acc, operand, false);
         self.stats.periods += 1;
         if self.mode == CpuMode::Alternating {
@@ -213,6 +254,7 @@ impl Cpu {
     }
 
     fn shift(&mut self, left: bool) -> Result<u8, CheckError> {
+        self.record(None, 0, false);
         let r1 = Datapath::shift(self.acc, left, false);
         self.stats.periods += 1;
         if self.mode == CpuMode::Alternating {

@@ -19,7 +19,7 @@ pub const WORD: usize = 8;
 /// * shifting is pure wiring (self-dual trivially): performed by
 ///   [`Datapath::shift`], with the fill bit encoded as `φ` — the
 ///   alternating-logic representation of constant 0.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Datapath {
     /// The ripple adder netlist.
     pub adder: Circuit,
@@ -66,19 +66,7 @@ impl Datapath {
     /// One-period adder evaluation: `(sum, carry)`.
     #[must_use]
     pub fn add_once(&self, a: u8, b: u8, cin: bool, complemented: bool) -> (u8, bool) {
-        let mut ins = Vec::with_capacity(2 * WORD + 1);
-        let (av, bv, cv) = if complemented {
-            (!a, !b, !cin)
-        } else {
-            (a, b, cin)
-        };
-        for i in 0..WORD {
-            ins.push((av >> i) & 1 == 1);
-        }
-        for i in 0..WORD {
-            ins.push((bv >> i) & 1 == 1);
-        }
-        ins.push(cv);
+        let ins = unit_inputs(a, b, cin ^ complemented, complemented);
         let out = self.adder.eval_with(&ins, &self.adder_overrides);
         let mut sum = 0u8;
         for (i, &bit) in out.iter().take(WORD).enumerate() {
@@ -91,15 +79,7 @@ impl Datapath {
     /// the period clock (inputs must already be complemented when `phi`).
     #[must_use]
     pub fn logic_once(&self, a: u8, b: u8, phi: bool) -> (u8, u8, u8) {
-        let (av, bv) = if phi { (!a, !b) } else { (a, b) };
-        let mut ins = Vec::with_capacity(2 * WORD + 1);
-        for i in 0..WORD {
-            ins.push((av >> i) & 1 == 1);
-        }
-        for i in 0..WORD {
-            ins.push((bv >> i) & 1 == 1);
-        }
-        ins.push(phi);
+        let ins = unit_inputs(a, b, phi, phi);
         let out = self.logic.eval_with(&ins, &self.logic_overrides);
         let word = |k: usize| -> u8 {
             let mut w = 0u8;
@@ -123,6 +103,20 @@ impl Datapath {
             (value >> 1) | (fill << 7)
         }
     }
+}
+
+/// The input vector of either unit for one period: `a0..a7, b0..b7`,
+/// complemented in the complemented period, then the unit's last input
+/// (the adder's carry-in, or the logic unit's `φ`) as given.
+pub(crate) fn unit_inputs(a: u8, b: u8, last: bool, complemented: bool) -> [bool; 2 * WORD + 1] {
+    let (av, bv) = if complemented { (!a, !b) } else { (a, b) };
+    let mut ins = [false; 2 * WORD + 1];
+    for i in 0..WORD {
+        ins[i] = (av >> i) & 1 == 1;
+        ins[WORD + i] = (bv >> i) & 1 == 1;
+    }
+    ins[2 * WORD] = last;
+    ins
 }
 
 fn build_logic_unit() -> Circuit {

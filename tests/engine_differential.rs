@@ -5,7 +5,8 @@
 //! Cone-restricted evaluation (`EvalMode::Cone`) is held to the same bar
 //! against full evaluation, across thread counts, fault dropping, the
 //! streaming golden fallback, and cancellation. The packed sequential
-//! backend is held to the graph-walking oracle. CI reruns the suite under
+//! backend is held to the graph-walking oracle, and the lock-step CPU
+//! campaign to a plain loop of interpreted CPU runs. CI reruns the suite under
 //! each `SCAL_EVAL_MODE` × `SCAL_WORD_WIDTH` × `SCAL_FAULT_COLLAPSE` cell;
 //! the variables are read here, at the test edge, and passed to every
 //! engine-side campaign that would otherwise run at its default.
@@ -701,6 +702,160 @@ proptest! {
             for ins in &drive {
                 let w = &ins[..n_inputs];
                 prop_assert_eq!(fast.step(w), slow.step(w));
+            }
+        }
+    }
+}
+
+/// The default workloads plus two seeded popcount / checksum / multiply /
+/// fibonacci suites, with expected results computed from the arithmetic.
+fn cpu_suites() -> Vec<Vec<scal::system::Workload>> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use scal::system::programs::{self, ARG0, ARG1};
+    use scal::system::Workload;
+    let mut suites = vec![scal::system::campaign::default_workloads()];
+    for seed in [3u64, 11] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = rng.gen_range(0u8..255);
+        let block: Vec<u8> = (0..4).map(|_| rng.gen_range(0u8..255)).collect();
+        let (a, b) = (rng.gen_range(0u8..255), rng.gen_range(2u8..5));
+        let n = rng.gen_range(3u8..7);
+        let fib = (0..n)
+            .fold((0u8, 1u8), |(p, q), _| (q, p.wrapping_add(q)))
+            .0;
+        suites.push(vec![
+            Workload {
+                name: "popcount",
+                program: programs::popcount(),
+                setup: vec![(ARG0, x)],
+                expect: x.count_ones() as u8,
+            },
+            Workload {
+                name: "checksum",
+                program: programs::checksum(),
+                setup: (0u8..4).map(|k| (0x60 + k, block[k as usize])).collect(),
+                expect: block.iter().fold(0, |acc, v| acc ^ v),
+            },
+            Workload {
+                name: "multiply",
+                program: programs::multiply(),
+                setup: vec![(ARG0, a), (ARG1, b)],
+                expect: a.wrapping_mul(b),
+            },
+            Workload {
+                name: "fibonacci",
+                program: programs::fibonacci(),
+                setup: vec![(ARG0, n)],
+                expect: fib,
+            },
+        ]);
+    }
+    suites
+}
+
+/// One fault's outcome under the interpreted oracle, with the periods its
+/// runs took and the first workload that detected it.
+struct CpuOracle {
+    result: scal::system::CpuFaultResult,
+    periods: u64,
+    first_detected: Option<u32>,
+}
+
+/// Every fault × workload on a fresh interpreted CPU: a plain loop of
+/// `Cpu::run` that uses no engine code.
+fn cpu_oracle(unit: scal::system::CpuUnit, suite: &[scal::system::Workload]) -> Vec<CpuOracle> {
+    use scal::system::{programs::RESULT, Cpu, CpuFaultResult, CpuMode, CpuUnit, Datapath};
+    let datapath = Datapath::new();
+    let circuit = match unit {
+        CpuUnit::Adder => &datapath.adder,
+        CpuUnit::Logic => &datapath.logic,
+    };
+    enumerate_faults(circuit)
+        .into_iter()
+        .map(|fault| {
+            let mut o = CpuOracle {
+                result: CpuFaultResult {
+                    fault,
+                    detected: 0,
+                    dormant: 0,
+                    undetected_wrong: 0,
+                },
+                periods: 0,
+                first_detected: None,
+            };
+            for (i, w) in suite.iter().enumerate() {
+                let mut cpu = Cpu::new(CpuMode::Alternating);
+                for &(a, v) in &w.setup {
+                    cpu.memory.write(a, v);
+                }
+                match unit {
+                    CpuUnit::Adder => cpu.datapath.fault_adder(fault.to_override()),
+                    CpuUnit::Logic => cpu.datapath.fault_logic(fault.to_override()),
+                }
+                match cpu.run(&w.program, 1_000_000) {
+                    Err(_) => {
+                        o.result.detected += 1;
+                        o.first_detected = o.first_detected.or(Some(i as u32));
+                    }
+                    Ok(_) if cpu.memory.read(RESULT) == Ok(w.expect) => o.result.dormant += 1,
+                    Ok(_) => o.result.undetected_wrong += 1,
+                }
+                o.periods += cpu.stats().periods;
+            }
+            o
+        })
+        .collect()
+}
+
+#[test]
+fn cpu_campaign_matches_interpreted_oracle() {
+    use scal::obs::CoverageObserver;
+    use scal::system::{campaign::Campaign, CpuUnit};
+    let suites = cpu_suites();
+    let units = [CpuUnit::Adder, CpuUnit::Logic];
+    // The interpreted oracle dominates the test's time: one thread per unit.
+    let oracles: Vec<Vec<Vec<CpuOracle>>> = std::thread::scope(|s| {
+        let suites = &suites;
+        let handles: Vec<_> = units
+            .map(|unit| s.spawn(move || suites.iter().map(|w| cpu_oracle(unit, w)).collect()))
+            .into_iter()
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (suite_idx, suite) in suites.iter().enumerate() {
+        for (unit, oracle) in units.into_iter().zip(&oracles) {
+            let oracle = &oracle[suite_idx];
+            let expected: Vec<_> = oracle.iter().map(|o| o.result.clone()).collect();
+            for collapse in [false, true] {
+                let what = format!("{unit:?}, {} workloads, collapse {collapse}", suite.len());
+                let cov = CoverageObserver::new();
+                let report = Campaign::new(unit)
+                    .workloads(suite.clone())
+                    .fault_collapse(collapse)
+                    .coverage(&cov)
+                    .run();
+                assert!(!report.cancelled, "{what}");
+                assert_eq!(report.results, expected, "{what}");
+                let map = cov.latest().expect("coverage map");
+                assert_eq!(map.records.len(), oracle.len(), "{what}");
+                for (rec, o) in map.records.iter().zip(oracle) {
+                    assert_eq!(
+                        rec.first_detected, o.first_detected,
+                        "{what}: {}",
+                        rec.label
+                    );
+                    assert_eq!(rec.pairs, o.periods / 2, "{what}: {}", rec.label);
+                }
+                // Only class representatives simulate, so the campaign's
+                // periods sum over them alone.
+                let periods: u64 = map
+                    .records
+                    .iter()
+                    .zip(oracle)
+                    .filter(|(rec, _)| rec.class_rep.map_or(true, |r| r == rec.fault))
+                    .map(|(_, o)| o.periods)
+                    .sum();
+                assert_eq!(report.periods, periods, "{what}");
             }
         }
     }
